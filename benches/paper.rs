@@ -1,8 +1,9 @@
 //! Criterion benches, one group per paper table/figure plus
 //! micro-benchmarks of the substrates. These run at CI scale (tiny
 //! structure, fixed operation counts) so `cargo bench` terminates
-//! quickly; the full parameter sweeps live in the `fig3`/`fig4`/`fig6`/
-//! `table3`/`ablation_*` binaries.
+//! quickly; the full parameter sweeps are the `paper_fig3`/`paper_fig4`/
+//! `paper_table3`/`paper_fig6`/`ultimate_baseline` lab specs
+//! (`stmbench7 lab <spec>`).
 
 use std::time::Duration;
 
@@ -15,7 +16,6 @@ use stmbench7::data::btree::BTree;
 use stmbench7::data::{OpOutcome, Sb7Tx, StructureParams, TxR, Workspace};
 use stmbench7::stm::{AstmRuntime, NorecRuntime, StmRuntime, Tl2Runtime};
 use stmbench7::{AnyBackend, BackendChoice};
-use stmbench7_stm::ContentionManager;
 
 struct Runner<'c> {
     op: OpKind,
@@ -30,14 +30,6 @@ impl TxOperation<OpOutcome> for Runner<'_> {
 
 fn params() -> StructureParams {
     StructureParams::tiny()
-}
-
-fn astm_choice() -> BackendChoice {
-    BackendChoice::Astm {
-        granularity: Granularity::Monolithic,
-        cm: ContentionManager::Polka,
-        visible: false,
-    }
 }
 
 /// Figure 3 (CI scale): one long-traversal execution per strategy.
@@ -94,7 +86,10 @@ fn table3_astm(c: &mut Criterion) {
     let p = params();
     let mut group = c.benchmark_group("table3_coarse_vs_astm");
     group.sample_size(10);
-    for (name, choice) in [("coarse", BackendChoice::Coarse), ("astm", astm_choice())] {
+    for (name, choice) in [
+        ("coarse", BackendChoice::Coarse),
+        ("astm", BackendChoice::ASTM_PAPER),
+    ] {
         group.bench_function(name, |b| {
             b.iter_batched(
                 || AnyBackend::build(choice, Workspace::build(p.clone(), 1)),
@@ -119,7 +114,7 @@ fn fig6_astm_friendly(c: &mut Criterion) {
     for (name, choice) in [
         ("coarse", BackendChoice::Coarse),
         ("medium", BackendChoice::Medium),
-        ("astm", astm_choice()),
+        ("astm", BackendChoice::ASTM_PAPER),
     ] {
         group.bench_function(name, |b| {
             b.iter_batched(

@@ -61,6 +61,14 @@ pub enum BackendChoice {
 }
 
 impl BackendChoice {
+    /// The paper's system under test, as §4 ran it: monolithic ASTM,
+    /// invisible reads, the Polka contention manager (`-g astm`).
+    pub const ASTM_PAPER: BackendChoice = BackendChoice::Astm {
+        granularity: Granularity::Monolithic,
+        cm: ContentionManager::Polka,
+        visible: false,
+    };
+
     /// Parses a `-g` argument (`coarse`, `medium`, `sequential`, `astm`,
     /// `tl2`, plus `-sharded` suffixes).
     pub fn parse(s: &str) -> Option<BackendChoice> {
@@ -71,11 +79,7 @@ impl BackendChoice {
             "fine" => BackendChoice::Fine,
             "flatcomb" => BackendChoice::FlatCombining,
             "rcl" => BackendChoice::DedicatedServer,
-            "astm" => BackendChoice::Astm {
-                granularity: Granularity::Monolithic,
-                cm: ContentionManager::Polka,
-                visible: false,
-            },
+            "astm" => BackendChoice::ASTM_PAPER,
             "astm-sharded" => BackendChoice::Astm {
                 granularity: Granularity::Sharded,
                 cm: ContentionManager::Polka,

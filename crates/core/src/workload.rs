@@ -127,6 +127,16 @@ impl OpFilter {
             .disable(OpKind::Sm2)
     }
 
+    /// The filter behind the `--astm-friendly` switch:
+    /// [`OpFilter::astm_friendly`] when set, [`OpFilter::none`] otherwise.
+    pub fn astm_friendly_if(on: bool) -> Self {
+        if on {
+            OpFilter::astm_friendly()
+        } else {
+            OpFilter::none()
+        }
+    }
+
     /// Whether `op` is disabled by this filter.
     pub fn is_disabled(&self, op: OpKind) -> bool {
         self.disabled.contains(&op)

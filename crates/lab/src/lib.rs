@@ -6,11 +6,9 @@
 //!
 //! * [`spec`] — [`spec::ExperimentSpec`]: a named grid of backend ×
 //!   workload × threads cells with structure preset, duration, warmup,
-//!   repetition count and pinned seeds; plus [`spec::SweepOpts`] /
-//!   [`spec::run_cell`], the single sweep engine shared with the
-//!   figure/table binaries;
-//! * [`registry`] — the built-in specs (`smoke`, `paper_fig3`,
-//!   `paper_fig6`, `scaling`, `write_storm`, `mixed_custom`);
+//!   repetition count and pinned seeds;
+//! * [`registry`] — the built-in specs, one [`registry::CATALOG`] row
+//!   each (`smoke`, the `paper_*` figure/table grids, `scaling`, …);
 //! * [`run`] — executes a spec, aggregating repetitions into
 //!   median/min/max/p95 with abort rates and per-category rollups;
 //! * [`json`] — the parser matching `stmbench7_core::JsonValue::render`
@@ -33,8 +31,5 @@ pub use run::{
     check_slos, format_supported, run_spec, CellResult, RepResult, ServiceAgg, SloCheck,
     SpecResult, FORMAT, FORMAT_V1, FORMAT_V2,
 };
-pub use spec::{
-    grid, net_grid, run_cell, service_grid, Cell, ExperimentSpec, NetPlan, ServicePlan, Slo,
-    SweepOpts,
-};
+pub use spec::{grid, net_grid, service_grid, Cell, ExperimentSpec, NetPlan, ServicePlan, Slo};
 pub use stats::Summary;

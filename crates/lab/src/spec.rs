@@ -1,15 +1,15 @@
 //! The experiment vocabulary: one [`Cell`] is a single benchmark
 //! configuration, an [`ExperimentSpec`] is a named grid of cells plus the
 //! measurement protocol (structure preset, duration, warmup, repetition
-//! count, seed). [`SweepOpts`]/[`run_cell`] are the command-line face the
-//! figure/table binaries share.
+//! count, seed).
 
 use std::time::Duration;
 
-use stmbench7_backend::{AnyBackend, BackendChoice};
-use stmbench7_core::{run_benchmark, BenchConfig, OpFilter, Report, RunMode, WorkloadType};
-use stmbench7_data::{StructureParams, Workspace};
-use stmbench7_service::{Admission, Affinity, Schedule};
+use stmbench7_backend::BackendChoice;
+use stmbench7_core::{BenchConfig, OpFilter, RunMode, WorkloadType};
+use stmbench7_data::StructureParams;
+use stmbench7_net::DriveConfig;
+use stmbench7_service::{Admission, Affinity, Schedule, ServeConfig};
 
 /// Service-layer protocol of one cell: run through `stmbench7-service`'s
 /// open-loop queue instead of the closed-loop engine. `threads` on the
@@ -207,7 +207,7 @@ impl Cell {
 
     /// The engine configuration for running this cell for `secs`
     /// seconds with the given seed — the single cell-to-config mapping
-    /// behind both [`run_cell`] and the spec runner.
+    /// of the spec runner.
     pub fn bench_config(&self, secs: f64, seed: u64) -> BenchConfig {
         BenchConfig {
             threads: self.threads,
@@ -215,11 +215,7 @@ impl Cell {
             workload: self.workload,
             long_traversals: self.long_traversals,
             structure_mods: self.structure_mods,
-            filter: if self.astm_friendly {
-                OpFilter::astm_friendly()
-            } else {
-                OpFilter::none()
-            },
+            filter: OpFilter::astm_friendly_if(self.astm_friendly),
             seed,
             histograms: false,
             recorder: stmbench7_obs::Recorder::default(),
@@ -261,70 +257,43 @@ impl Cell {
         key
     }
 
+    /// A worker pool of `threads` over this cell's mix and switches —
+    /// what the service and net plans share.
+    fn pool_config(&self, schedule: Schedule, queue_cap: usize, seed: u64) -> ServeConfig {
+        let mut cfg = ServeConfig::new(schedule, self.workload, seed);
+        cfg.workers = self.threads;
+        cfg.queue_cap = queue_cap;
+        cfg.long_traversals = self.long_traversals;
+        cfg.structure_mods = self.structure_mods;
+        cfg.filter = OpFilter::astm_friendly_if(self.astm_friendly);
+        cfg.window_ms = self.window_ms;
+        cfg
+    }
+
     /// The service configuration for running this cell's plan with the
     /// given seed; `None` for closed-loop cells.
-    pub fn serve_config(&self, seed: u64) -> Option<stmbench7_service::ServeConfig> {
+    pub fn serve_config(&self, seed: u64) -> Option<ServeConfig> {
         let plan = self.service.as_ref()?;
-        Some(stmbench7_service::ServeConfig {
-            schedule: plan.schedule,
-            workers: self.threads,
-            queue_cap: plan.queue_cap,
-            admission: plan.admission,
-            batch_max: plan.batch_max,
-            affinity: plan.affinity,
-            workload: self.workload,
-            long_traversals: self.long_traversals,
-            structure_mods: self.structure_mods,
-            filter: if self.astm_friendly {
-                OpFilter::astm_friendly()
-            } else {
-                OpFilter::none()
-            },
-            seed,
-            recorder: stmbench7_obs::Recorder::default(),
-            window_ms: self.window_ms,
-        })
+        let mut cfg = self.pool_config(plan.schedule, plan.queue_cap, seed);
+        cfg.admission = plan.admission;
+        cfg.batch_max = plan.batch_max;
+        cfg.affinity = plan.affinity;
+        Some(cfg)
     }
 
     /// The server and driver configurations for running this cell's
     /// network plan with the given seed; `None` for cells without one.
-    pub fn net_configs(
-        &self,
-        seed: u64,
-    ) -> Option<(stmbench7_service::ServeConfig, stmbench7_net::DriveConfig)> {
+    pub fn net_configs(&self, seed: u64) -> Option<(ServeConfig, DriveConfig)> {
         let plan = self.net.as_ref()?;
-        let filter = if self.astm_friendly {
-            OpFilter::astm_friendly()
-        } else {
-            OpFilter::none()
-        };
-        let server = stmbench7_service::ServeConfig {
-            // The server takes arrivals off the wire; its schedule field
-            // is inert and overwritten with `net:<addr>` in its report.
-            schedule: plan.schedule,
-            workers: self.threads,
-            queue_cap: plan.queue_cap,
-            admission: Admission::Block,
-            batch_max: 1,
-            affinity: Affinity::None,
-            workload: self.workload,
-            long_traversals: self.long_traversals,
-            structure_mods: self.structure_mods,
-            filter: filter.clone(),
-            seed,
-            recorder: stmbench7_obs::Recorder::default(),
-            window_ms: self.window_ms,
-        };
-        let driver = stmbench7_net::DriveConfig {
-            schedule: plan.schedule,
-            connections: plan.connections,
-            inflight: plan.inflight,
-            workload: self.workload,
-            long_traversals: self.long_traversals,
-            structure_mods: self.structure_mods,
-            filter,
-            seed,
-        };
+        // The server takes arrivals off the wire; its schedule field is
+        // inert and overwritten with `net:<addr>` in its report.
+        let server = self.pool_config(plan.schedule, plan.queue_cap, seed);
+        let mut driver = DriveConfig::new(plan.schedule, self.workload, seed);
+        driver.connections = plan.connections;
+        driver.inflight = plan.inflight;
+        driver.long_traversals = self.long_traversals;
+        driver.structure_mods = self.structure_mods;
+        driver.filter = server.filter.clone();
         Some((server, driver))
     }
 }
@@ -343,20 +312,11 @@ pub fn grid(
     for &workload in workloads {
         for &backend in backends {
             for &t in threads {
-                cells.push(Cell {
-                    backend,
-                    workload,
-                    threads: t,
-                    shards: None,
-                    long_traversals,
-                    structure_mods,
-                    astm_friendly,
-                    service: None,
-                    net: None,
-                    trace: false,
-                    window_ms: None,
-                    slo: None,
-                });
+                let mut cell = Cell::new(backend, workload, t);
+                cell.long_traversals = long_traversals;
+                cell.structure_mods = structure_mods;
+                cell.astm_friendly = astm_friendly;
+                cells.push(cell);
             }
         }
     }
@@ -377,20 +337,10 @@ pub fn sharded_grid(
     for &backend in backends {
         for &s in shards {
             for &t in threads {
-                cells.push(Cell {
-                    backend,
-                    workload,
-                    threads: t,
-                    shards: Some(s),
-                    long_traversals: false,
-                    structure_mods: true,
-                    astm_friendly: false,
-                    service: None,
-                    net: None,
-                    trace: false,
-                    window_ms: None,
-                    slo: None,
-                });
+                let mut cell = Cell::new(backend, workload, t);
+                cell.shards = Some(s);
+                cell.long_traversals = false;
+                cells.push(cell);
             }
         }
     }
@@ -411,20 +361,10 @@ pub fn service_grid(
     let mut cells = Vec::with_capacity(backends.len() * schedules.len());
     for &schedule in schedules {
         for &backend in backends {
-            cells.push(Cell {
-                backend,
-                workload,
-                threads: workers,
-                shards: None,
-                long_traversals,
-                structure_mods: true,
-                astm_friendly: false,
-                service: Some(plan_of(schedule)),
-                net: None,
-                trace: false,
-                window_ms: None,
-                slo: None,
-            });
+            let mut cell = Cell::new(backend, workload, workers);
+            cell.long_traversals = long_traversals;
+            cell.service = Some(plan_of(schedule));
+            cells.push(cell);
         }
     }
     cells
@@ -444,20 +384,10 @@ pub fn net_grid(
     let mut cells = Vec::with_capacity(backends.len() * schedules.len());
     for &schedule in schedules {
         for &backend in backends {
-            cells.push(Cell {
-                backend,
-                workload,
-                threads: workers,
-                shards: None,
-                long_traversals,
-                structure_mods: true,
-                astm_friendly: false,
-                service: None,
-                net: Some(plan_of(schedule)),
-                trace: false,
-                window_ms: None,
-                slo: None,
-            });
+            let mut cell = Cell::new(backend, workload, workers);
+            cell.long_traversals = long_traversals;
+            cell.net = Some(plan_of(schedule));
+            cells.push(cell);
         }
     }
     cells
@@ -577,76 +507,6 @@ impl ExperimentSpec {
     }
 }
 
-/// Sweep-wide options parsed from the command line — the shared flag
-/// vocabulary of every figure/table binary (`--preset`, `--secs`,
-/// `--threads`, `--seed`).
-#[derive(Clone, Debug)]
-pub struct SweepOpts {
-    pub params: StructureParams,
-    pub secs_per_cell: f64,
-    pub threads: Vec<usize>,
-    pub seed: u64,
-}
-
-impl SweepOpts {
-    /// Parses the common flags of every binary:
-    /// `--preset tiny|small|standard`, `--secs F`, `--threads a,b,c`,
-    /// `--seed N`.
-    pub fn from_args() -> SweepOpts {
-        let mut opts = SweepOpts {
-            params: StructureParams::small(),
-            secs_per_cell: 1.0,
-            threads: vec![1, 2, 3, 4, 6, 8],
-            seed: 1,
-        };
-        let argv: Vec<String> = std::env::args().skip(1).collect();
-        let mut i = 0;
-        while i < argv.len() {
-            let val = |i: &mut usize| -> String {
-                *i += 1;
-                argv.get(*i).cloned().unwrap_or_else(|| {
-                    eprintln!("missing value for {}", argv[*i - 1]);
-                    std::process::exit(2);
-                })
-            };
-            match argv[i].as_str() {
-                "--preset" => {
-                    let v = val(&mut i);
-                    opts.params = StructureParams::parse(&v).unwrap_or_else(|| {
-                        eprintln!("unknown preset '{v}'");
-                        std::process::exit(2);
-                    });
-                }
-                "--secs" => opts.secs_per_cell = val(&mut i).parse().expect("--secs"),
-                "--threads" => {
-                    opts.threads = val(&mut i)
-                        .split(',')
-                        .map(|t| t.parse().expect("--threads"))
-                        .collect();
-                }
-                "--seed" => opts.seed = val(&mut i).parse().expect("--seed"),
-                other => {
-                    eprintln!("unknown argument '{other}'");
-                    std::process::exit(2);
-                }
-            }
-            i += 1;
-        }
-        opts
-    }
-}
-
-/// Runs one cell on a freshly built structure and returns its report —
-/// the single sweep engine behind both the lab runner and every
-/// figure/table binary.
-pub fn run_cell(opts: &SweepOpts, cell: &Cell) -> Report {
-    let params = cell.params(&opts.params);
-    let ws = Workspace::build(params.clone(), opts.seed);
-    let backend = AnyBackend::build(cell.backend, ws);
-    let cfg = cell.bench_config(opts.secs_per_cell, opts.seed);
-    run_benchmark(&backend, &params, &cfg)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -727,18 +587,5 @@ mod tests {
         let re = spec.with_threads(&[2, 1, 2, 2]);
         let keys: Vec<String> = re.cells.iter().map(|c| c.key()).collect();
         assert_eq!(keys, vec!["coarse/rw/2t", "coarse/rw/1t"]);
-    }
-
-    #[test]
-    fn run_cell_smoke() {
-        let opts = SweepOpts {
-            params: StructureParams::tiny(),
-            secs_per_cell: 0.05,
-            threads: vec![1],
-            seed: 1,
-        };
-        let cell = Cell::new(BackendChoice::Coarse, WorkloadType::ReadWrite, 1);
-        let report = run_cell(&opts, &cell);
-        assert!(report.total_started() > 0);
     }
 }

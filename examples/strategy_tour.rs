@@ -12,7 +12,6 @@ use std::time::Instant;
 use stmbench7::backend::{Backend, Granularity};
 use stmbench7::core::{run_benchmark, BenchConfig, WorkloadType};
 use stmbench7::data::{validate, StructureParams, Workspace};
-use stmbench7::stm::ContentionManager;
 use stmbench7::{AnyBackend, BackendChoice};
 
 fn strategies() -> Vec<BackendChoice> {
@@ -21,11 +20,7 @@ fn strategies() -> Vec<BackendChoice> {
         BackendChoice::Coarse,
         BackendChoice::Medium,
         BackendChoice::Fine,
-        BackendChoice::Astm {
-            granularity: Granularity::Monolithic,
-            cm: ContentionManager::Polka,
-            visible: false,
-        },
+        BackendChoice::ASTM_PAPER,
         BackendChoice::Tl2 {
             granularity: Granularity::Sharded,
         },

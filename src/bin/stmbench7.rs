@@ -1,1681 +1,8 @@
-//! The STMBench7 command-line interface, mirroring Appendix A.1 of the
-//! paper:
-//!
-//! ```text
-//! stmbench7 -t numThreads -l length -w r|rw|w -g coarse|medium|...
-//!           [--no-traversals] [--no-sms] [--ttc-histograms]
-//! ```
-//!
-//! Extensions beyond the paper's flags: `-s` structure preset, `--seed`,
-//! `--ops` (deterministic fixed-operation runs), `--astm-friendly` (the
-//! §5 operation filter), `--cm` (contention manager) and `--csv`; plus
-//! the `lab` subcommand (`stmbench7 lab <spec>`), which runs a named
-//! experiment grid, writes versioned JSON results, and can gate against
-//! a committed baseline.
+//! The STMBench7 command-line interface; see [`stmbench7::cli`].
 
 use std::process::ExitCode;
-use std::time::Duration;
-
-use stmbench7::backend::Backend;
-use stmbench7::core::{run_benchmark, BenchConfig, OpFilter, RunMode, WorkloadType};
-use stmbench7::data::{validate, StructureParams, Workspace};
-use stmbench7::lab::{check_slos, compare_documents, registry, run_spec, Tolerance};
-use stmbench7::net::{drive, serve_net, DriveConfig};
-use stmbench7::obs::{
-    chrome_trace_json, summarize, top_spans, Event, EventKind, Layer, Recorder, Trace,
-};
-use stmbench7::service::{serve, Admission, Affinity, Schedule, ServeConfig};
-use stmbench7::stm::ContentionManager;
-use stmbench7::{parse_preset, AnyBackend, BackendChoice};
-
-const USAGE: &str = "\
-stmbench7 — the EuroSys 2007 STM benchmark, in Rust
-
-USAGE:
-    stmbench7 [OPTIONS]
-
-OPTIONS (paper Appendix A.1):
-    -t <num>            number of threads                  [default: 1]
-    -l <seconds>        benchmark length                   [default: 10]
-    -w r|rw|w|uNN       workload type; uNN = custom NN%
-                        updates (extension)                [default: r]
-    -g <strategy>       synchronization strategy           [default: coarse]
-                        one of: sequential, coarse, medium, fine,
-                        flatcomb, rcl, astm, astm-sharded, astm-visible,
-                        tl2, tl2-sharded, norec, norec-sharded
-    --no-traversals     disable long traversals
-    --no-sms            disable structure modification operations
-    --ttc-histograms    print TTC (latency) histograms
-
-EXTENSIONS:
-    -s <preset>         structure size: tiny, small, standard, paper-full
-                                                           [default: small]
-    --shards <num>      split every index into N shards (1..=64); backends
-                        with per-shard locks/variables scale their lock
-                        sets with it                       [default: 1]
-    --ops <num>         run a fixed number of operations per thread
-                        instead of a timed run
-    --seed <num>        RNG seed                           [default: 1]
-    --cm <name>         ASTM contention manager: aggressive, suicide,
-                        backoff, karma, timestamp, polka   [default: polka]
-    --astm-friendly     apply the paper's §5 operation filter
-    --validate          validate the structure after the run
-    --csv <file>        append per-operation CSV rows to <file>
-    --trace <file>      record a transaction-lifecycle trace and write it
-                        as Chrome trace_event JSON (open in Perfetto or
-                        chrome://tracing; summarize with `trace-summary`)
-    --window <ms>       sample the flight recorder every <ms> ms and
-                        attach a per-window timeseries (throughput,
-                        latency percentiles, queue depth) to the report
-    --describe          print the structure census and indexes, then exit
-    -h, --help          this text
-
-SUBCOMMANDS:
-    lab <spec>          run a named experiment grid and write JSON results
-                        (see `stmbench7 lab --help`)
-    serve <schedule>    serve an open-loop request stream through a backend
-                        (see `stmbench7 serve --help`)
-    net-serve           serve STMBench7 over TCP until a shutdown frame
-                        (see `stmbench7 net-serve --help`)
-    net-drive <sched>   replay a schedule against a net-serve over sockets
-                        (see `stmbench7 net-drive --help`)
-    trace-summary <f>   aggregate a --trace file into a per-event table
-                        (`--top N` lists the N slowest spans per layer)
-";
-
-const NET_SERVE_USAGE: &str = "\
-stmbench7 net-serve — the wire-protocol server
-
-USAGE:
-    stmbench7 net-serve [OPTIONS]
-
-Binds a TCP listener, decodes length-prefixed request frames, and feeds
-them into the service worker pool (admission control, batching and the
-queue-wait/service-time decomposition are the `serve` machinery). Runs
-until a client sends the graceful-shutdown control frame, then prints
-the server-side report and exits 0.
-
-OPTIONS:
-    --addr <host:port>  listen address; port 0 picks an ephemeral port
-                        (printed as `listening on <addr>`)
-                                                           [default: 127.0.0.1:7117]
-    -g, --backend <s>   synchronization strategy           [default: coarse]
-    -s <preset>         structure size                     [default: small]
-    --shards <n>        split every index into N shards    [default: 1]
-    -w r|rw|w|uNN       expected workload mix (report ratios only; clients
-                        pick the operations)               [default: r]
-    --workers <n>       worker threads                     [default: 2]
-    --queue-cap <n>     request queue bound                [default: 1024]
-    --admission <p>     block | reject (drop-on-full, answered with an
-                        explicit rejection frame)          [default: block]
-    --batch <k>         fold up to K lock-compatible requests into one
-                        execution (group commit)           [default: 1]
-    --affinity <a>      none | shard (route requests to workers by
-                        declared primary shard, steal when idle)
-                                                           [default: none]
-    --seed <num>        RNG seed (structure build)         [default: 1]
-    --validate          validate the structure after shutdown
-    --trace <file>      record a lifecycle trace and write Chrome
-                        trace_event JSON after shutdown
-    --window <ms>       flight-recorder sampling window; attaches a
-                        per-window timeseries to the server report
-    --metrics <h:p>     also serve a Prometheus text exposition of the
-                        live flight-recorder counters at
-                        http://<h:p>/metrics, scrapeable mid-run (the
-                        scrape rides the same event loop as the
-                        benchmark traffic); implies --window 250 unless
-                        --window is given; port 0 picks an ephemeral
-                        port (printed as `metrics on <addr>`)
-    -h, --help          this text
-";
-
-const NET_DRIVE_USAGE: &str = "\
-stmbench7 net-drive — the remote load driver
-
-USAGE:
-    stmbench7 net-drive <schedule> --addr <host:port> [OPTIONS]
-
-Replays a deterministic arrival schedule (the same closed:/open:/bursty:
-schedules `serve` replays in-process) over N persistent connections, and
-decomposes per-request latency into client queue wait, network round
-trip, and server-reported service time.
-
-SCHEDULES:
-    closed:N            everything arrives at t=0; requires --requests
-    open:RATE           fixed-rate arrivals (req/s) with slot jitter
-    bursty:RATE:BURST:PERIOD_MS
-                        clumped arrivals averaging RATE req/s
-
-OPTIONS:
-    --addr <host:port>  server address                     [required]
-    --connections <n>   persistent connections the stream is striped
-                        over (request i rides connection i mod N)
-                                                           [default: 2]
-    --inflight <n>      per-connection pipelining window: at most n
-                        requests awaiting responses on a connection
-                        (0 = unbounded, issue purely by schedule)
-                                                           [default: 0]
-    -w r|rw|w|uNN       workload type                      [default: r]
-    --requests <n>      length of the request stream
-    -l <seconds>        stream horizon (open/bursty)       [default: 5]
-    --seed <num>        RNG seed                           [default: 1]
-    --no-traversals     disable long traversals
-    --no-sms            disable structure modification operations
-    --astm-friendly     apply the paper's §5 operation filter
-    --shutdown          send the graceful-shutdown frame after the run
-    -h, --help          this text
-";
-
-const SERVE_USAGE: &str = "\
-stmbench7 serve — open-loop, request-driven service mode
-
-USAGE:
-    stmbench7 serve <schedule> [OPTIONS]
-
-Replays a deterministic arrival schedule into a bounded request queue
-drained by a worker pool, and reports per-request latency decomposed
-into queue wait vs service time (p50/p95/p99) plus reject counts.
-
-SCHEDULES:
-    closed:N            everything arrives at t=0 (N suggests --workers);
-                        requires --requests
-    open:RATE           fixed-rate arrivals (req/s) with deterministic
-                        slot jitter
-    bursty:RATE:BURST:PERIOD_MS
-                        average RATE req/s, clumped: each period opens
-                        with a BURST of back-to-back arrivals
-
-OPTIONS:
-    -g, --backend <s>   synchronization strategy           [default: coarse]
-    -s <preset>         structure size                     [default: small]
-    --shards <n>        split every index into N shards    [default: 1]
-    -w r|rw|w|uNN       workload type                      [default: r]
-    --workers <n>       worker threads                     [default: 2, or N
-                        for closed:N]
-    --queue-cap <n>     request queue bound                [default: 1024]
-    --admission <p>     block | reject (drop-on-full)      [default: block]
-    --batch <k>         fold up to K lock-compatible requests into one
-                        execution (group commit)           [default: 1]
-    --affinity <a>      none | shard (route requests to workers by
-                        declared primary shard, steal when idle)
-                                                           [default: none]
-    --requests <n>      length of the request stream
-    -l <seconds>        stream horizon (open/bursty): offer rate x seconds
-                        requests                           [default: 5]
-    --seed <num>        RNG seed                           [default: 1]
-    --no-traversals     disable long traversals
-    --no-sms            disable structure modification operations
-    --astm-friendly     apply the paper's §5 operation filter
-    --validate          validate the structure after the run
-    --trace <file>      record a lifecycle trace and write Chrome
-                        trace_event JSON after the run
-    --window <ms>       flight-recorder sampling window; attaches a
-                        per-window timeseries to the report
-    -h, --help          this text
-";
-
-const LAB_USAGE: &str = "\
-stmbench7 lab — declarative experiment harness
-
-USAGE:
-    stmbench7 lab <spec> [OPTIONS]
-    stmbench7 lab --list
-
-Runs every cell of the named spec (warmup + repetitions, each on a fresh
-structure), aggregates repetitions into median/min/max/p95, writes a
-versioned JSON results document, and optionally gates against a baseline.
-
-OPTIONS:
-    --list              list the built-in specs and exit
-    --preset <name>     override the spec's structure preset
-    --shards <n>        override the preset's index shard count (cells
-                        with their own shard axis keep it)
-    --secs <f>          override seconds per measured repetition
-    --warmup <f>        override discarded warmup seconds per repetition
-    --reps <n>          override the repetition count
-    --threads <a,b,c>   override the thread axis (re-grids the cells)
-    --rates <a,b,c>     override the arrival-rate axis of open-loop
-                        cells (re-grids, scaling request counts so every
-                        rung measures the same wall-clock window)
-    --seed <n>          override the RNG seed
-    --out <path>        results path    [default: results/BENCH_<spec>.json]
-    --compare <path>    compare against a baseline results document;
-                        exit nonzero on regression
-    --tolerance <t>     allowed slowdown vs baseline: NN% or NNx
-                        [default: 25%]
-    --trace <dir>       run every cell with a live trace recorder and
-                        write one Chrome trace_event JSON file per cell
-                        into <dir> (traced cells keep their keys, so
-                        --compare still matches an untraced baseline)
-    --window <ms>       run every cell with a flight-recorder sampling
-                        window of <ms> ms; each cell's result embeds a
-                        per-window timeseries (windowed cells keep their
-                        keys, like --trace)
-    -h, --help          this text
-
-Cells that declare an `slo` (a windowed p99 objective) are checked after
-the run: a window breaches when its p99 exceeds the objective, and the
-cell fails when more windows breach than the objective allows. Under
---compare, any failed SLO check fails the gate alongside throughput
-regressions.
-";
-
-const TRACE_SUMMARY_USAGE: &str = "\
-stmbench7 trace-summary — aggregate a recorded trace
-
-USAGE:
-    stmbench7 trace-summary <file> [--top N]
-
-Reads a Chrome trace_event JSON file written by `--trace` and prints a
-per-(layer, kind, name) table: event counts and, for span kinds, total
-and maximum duration, heaviest row first.
-
-With `--top N`, also lists the N slowest individual spans per layer —
-the concrete worst-case operations, not aggregates.
-";
-
-/// Parses a `--window <ms>` value: the flight-recorder sampling window.
-fn parse_window(v: &str) -> Result<u64, String> {
-    let ms: u64 = v.parse().map_err(|e| format!("--window: {e}"))?;
-    if ms == 0 {
-        return Err("--window must be ≥ 1 ms".into());
-    }
-    Ok(ms)
-}
-
-struct Args {
-    threads: usize,
-    length: u64,
-    ops: Option<u64>,
-    workload: WorkloadType,
-    backend: BackendChoice,
-    params: StructureParams,
-    no_traversals: bool,
-    no_sms: bool,
-    histograms: bool,
-    astm_friendly: bool,
-    validate: bool,
-    seed: u64,
-    csv: Option<String>,
-    trace: Option<String>,
-    window: Option<u64>,
-    describe: bool,
-}
-
-fn parse_args() -> Result<Args, String> {
-    let mut args = Args {
-        threads: 1,
-        length: 10,
-        ops: None,
-        workload: WorkloadType::ReadDominated,
-        backend: BackendChoice::Coarse,
-        params: StructureParams::small(),
-        no_traversals: false,
-        no_sms: false,
-        histograms: false,
-        astm_friendly: false,
-        validate: false,
-        seed: 1,
-        csv: None,
-        trace: None,
-        window: None,
-        describe: false,
-    };
-    let mut cm = ContentionManager::Polka;
-    let argv: Vec<String> = std::env::args().skip(1).collect();
-    let mut i = 0;
-    let value = |i: &mut usize| -> Result<String, String> {
-        *i += 1;
-        argv.get(*i)
-            .cloned()
-            .ok_or_else(|| format!("missing value for {}", argv[*i - 1]))
-    };
-    while i < argv.len() {
-        match argv[i].as_str() {
-            "-t" => args.threads = value(&mut i)?.parse().map_err(|e| format!("-t: {e}"))?,
-            "-l" => args.length = value(&mut i)?.parse().map_err(|e| format!("-l: {e}"))?,
-            "--ops" => args.ops = Some(value(&mut i)?.parse().map_err(|e| format!("--ops: {e}"))?),
-            "-w" => {
-                let v = value(&mut i)?;
-                args.workload = WorkloadType::parse(&v).ok_or(format!("unknown workload '{v}'"))?;
-            }
-            "-g" => {
-                let v = value(&mut i)?;
-                args.backend = BackendChoice::parse(&v).ok_or(format!("unknown strategy '{v}'"))?;
-            }
-            "-s" => {
-                let v = value(&mut i)?;
-                // Preserve a --shards that came first.
-                let shards = args.params.index_shards;
-                args.params = parse_preset(&v)
-                    .ok_or(format!("unknown preset '{v}'"))?
-                    .with_shards(shards);
-            }
-            "--shards" => {
-                let n: usize = value(&mut i)?
-                    .parse()
-                    .map_err(|e| format!("--shards: {e}"))?;
-                if n == 0 {
-                    return Err("--shards must be ≥ 1".into());
-                }
-                args.params = args.params.clone().with_shards(n);
-                args.params.check().map_err(|e| format!("--shards: {e}"))?;
-            }
-            "--cm" => {
-                let v = value(&mut i)?;
-                cm = ContentionManager::parse(&v)
-                    .ok_or(format!("unknown contention manager '{v}'"))?;
-            }
-            "--seed" => args.seed = value(&mut i)?.parse().map_err(|e| format!("--seed: {e}"))?,
-            "--csv" => args.csv = Some(value(&mut i)?),
-            "--trace" => args.trace = Some(value(&mut i)?),
-            "--window" => args.window = Some(parse_window(&value(&mut i)?)?),
-            "--no-traversals" => args.no_traversals = true,
-            "--no-sms" => args.no_sms = true,
-            "--ttc-histograms" => args.histograms = true,
-            "--astm-friendly" => args.astm_friendly = true,
-            "--validate" => args.validate = true,
-            "--describe" => args.describe = true,
-            "-h" | "--help" => {
-                print!("{USAGE}");
-                std::process::exit(0);
-            }
-            other => return Err(format!("unknown argument '{other}'")),
-        }
-        i += 1;
-    }
-    if let BackendChoice::Astm {
-        granularity,
-        visible,
-        ..
-    } = args.backend
-    {
-        args.backend = BackendChoice::Astm {
-            granularity,
-            cm,
-            visible,
-        };
-    }
-    Ok(args)
-}
-
-fn describe(params: &StructureParams, ws: &Workspace) {
-    let census = validate(ws).expect("fresh build must validate");
-    println!(
-        "STMBench7 structure ({} levels, fan-out {}):",
-        params.assembly_levels, params.assembly_fanout
-    );
-    println!("  complex assemblies: {}", census.complex_assemblies);
-    println!("  base assemblies:    {}", census.base_assemblies);
-    println!("  composite parts:    {}", census.composite_parts);
-    println!("  atomic parts:       {}", census.atomic_parts);
-    println!("  documents:          {}", census.documents);
-    println!("  manual size:        {} chars", ws.manual.text.len());
-    println!("Indexes (paper Table 1):");
-    println!("  1. atomic part id         -> atomic part");
-    println!(
-        "  2. atomic part build date -> atomic part   ({} entries)",
-        ws.atomics.by_date.len()
-    );
-    println!("  3. composite part id      -> composite part");
-    println!(
-        "  4. document title         -> document      ({} entries)",
-        ws.documents.by_title.len()
-    );
-    println!("  5. base assembly id       -> base assembly");
-    println!(
-        "  6. complex assembly id    -> complex assembly ({} entries)",
-        ws.sm.complex_index.len()
-    );
-}
-
-struct LabArgs {
-    spec: Option<String>,
-    list: bool,
-    preset: Option<StructureParams>,
-    shards: Option<usize>,
-    secs: Option<f64>,
-    warmup: Option<f64>,
-    reps: Option<u32>,
-    threads: Option<Vec<usize>>,
-    rates: Option<Vec<f64>>,
-    seed: Option<u64>,
-    out: Option<String>,
-    compare: Option<String>,
-    tolerance: Tolerance,
-    trace: Option<String>,
-    window: Option<u64>,
-}
-
-fn parse_lab_args(argv: &[String]) -> Result<LabArgs, String> {
-    let mut args = LabArgs {
-        spec: None,
-        list: false,
-        preset: None,
-        shards: None,
-        secs: None,
-        warmup: None,
-        reps: None,
-        threads: None,
-        rates: None,
-        seed: None,
-        out: None,
-        compare: None,
-        tolerance: Tolerance(1.25),
-        trace: None,
-        window: None,
-    };
-    let mut i = 0;
-    let value = |i: &mut usize| -> Result<String, String> {
-        *i += 1;
-        argv.get(*i)
-            .cloned()
-            .ok_or_else(|| format!("missing value for {}", argv[*i - 1]))
-    };
-    while i < argv.len() {
-        match argv[i].as_str() {
-            "--list" => args.list = true,
-            "--preset" => {
-                let v = value(&mut i)?;
-                args.preset = Some(parse_preset(&v).ok_or(format!("unknown preset '{v}'"))?);
-            }
-            "--shards" => {
-                let n: usize = value(&mut i)?
-                    .parse()
-                    .map_err(|e| format!("--shards: {e}"))?;
-                if !(1..=stmbench7::data::sharded::MAX_SHARDS).contains(&n) {
-                    return Err(format!("--shards must be in 1..=64, got {n}"));
-                }
-                args.shards = Some(n);
-            }
-            "--secs" => {
-                let secs: f64 = value(&mut i)?.parse().map_err(|e| format!("--secs: {e}"))?;
-                if !secs.is_finite() || secs <= 0.0 {
-                    return Err(format!("--secs must be a positive duration, got {secs}"));
-                }
-                args.secs = Some(secs);
-            }
-            "--warmup" => {
-                let warmup: f64 = value(&mut i)?
-                    .parse()
-                    .map_err(|e| format!("--warmup: {e}"))?;
-                if !warmup.is_finite() || warmup < 0.0 {
-                    return Err(format!("--warmup must be ≥ 0 seconds, got {warmup}"));
-                }
-                args.warmup = Some(warmup);
-            }
-            "--reps" => {
-                let n: u32 = value(&mut i)?.parse().map_err(|e| format!("--reps: {e}"))?;
-                if n == 0 {
-                    return Err("--reps must be ≥ 1".into());
-                }
-                args.reps = Some(n);
-            }
-            "--threads" => {
-                let list = value(&mut i)?
-                    .split(',')
-                    .map(|t| t.parse().map_err(|e| format!("--threads: {e}")))
-                    .collect::<Result<Vec<usize>, String>>()?;
-                if list.is_empty() || list.contains(&0) {
-                    return Err("--threads needs positive thread counts".into());
-                }
-                args.threads = Some(list);
-            }
-            "--rates" => {
-                let list = value(&mut i)?
-                    .split(',')
-                    .map(|r| r.parse().map_err(|e| format!("--rates: {e}")))
-                    .collect::<Result<Vec<f64>, String>>()?;
-                if list.is_empty() || list.iter().any(|r| !r.is_finite() || *r <= 0.0) {
-                    return Err("--rates needs positive arrival rates".into());
-                }
-                args.rates = Some(list);
-            }
-            "--seed" => {
-                args.seed = Some(value(&mut i)?.parse().map_err(|e| format!("--seed: {e}"))?)
-            }
-            "--out" => args.out = Some(value(&mut i)?),
-            "--compare" => args.compare = Some(value(&mut i)?),
-            "--tolerance" => {
-                let v = value(&mut i)?;
-                args.tolerance =
-                    Tolerance::parse(&v).ok_or(format!("bad tolerance '{v}' (use NN% or NNx)"))?;
-            }
-            "--trace" => args.trace = Some(value(&mut i)?),
-            "--window" => args.window = Some(parse_window(&value(&mut i)?)?),
-            "-h" | "--help" => {
-                print!("{LAB_USAGE}");
-                std::process::exit(0);
-            }
-            other if !other.starts_with('-') && args.spec.is_none() => {
-                args.spec = Some(other.to_string());
-            }
-            other => return Err(format!("unknown argument '{other}'")),
-        }
-        i += 1;
-    }
-    Ok(args)
-}
-
-fn lab_main(argv: &[String]) -> ExitCode {
-    let args = match parse_lab_args(argv) {
-        Ok(a) => a,
-        Err(msg) => {
-            eprintln!("error: {msg}\n\n{LAB_USAGE}");
-            return ExitCode::from(2);
-        }
-    };
-    if args.list {
-        println!("built-in lab specs:");
-        for (name, description) in registry::catalog() {
-            println!("  {name:<14} {description}");
-        }
-        return ExitCode::SUCCESS;
-    }
-    let Some(name) = &args.spec else {
-        eprintln!("error: no spec named\n\n{LAB_USAGE}");
-        return ExitCode::from(2);
-    };
-    let Some(mut spec) = registry::build(name) else {
-        eprintln!("error: unknown spec '{name}'; available:");
-        for (name, _) in registry::catalog() {
-            eprintln!("  {name}");
-        }
-        return ExitCode::from(2);
-    };
-    if let Some(params) = args.preset {
-        spec.params = params;
-    }
-    if let Some(shards) = args.shards {
-        spec.params = spec.params.with_shards(shards);
-    }
-    if let Some(secs) = args.secs {
-        spec.secs_per_cell = secs;
-    }
-    if let Some(warmup) = args.warmup {
-        spec.warmup_secs = warmup;
-    }
-    if let Some(reps) = args.reps {
-        spec.repetitions = reps;
-    }
-    if let Some(seed) = args.seed {
-        spec.seed = seed;
-    }
-    if let Some(threads) = &args.threads {
-        spec = spec.with_threads(threads);
-    }
-    if let Some(rates) = &args.rates {
-        spec = spec.with_rates(rates);
-    }
-    if args.trace.is_some() {
-        for cell in &mut spec.cells {
-            cell.trace = true;
-        }
-    }
-    if let Some(window) = args.window {
-        for cell in &mut spec.cells {
-            cell.window_ms = Some(window);
-        }
-    }
-
-    // Load the baseline before running anything: a mistyped path or a
-    // malformed document must not waste a multi-minute grid run.
-    let baseline = match &args.compare {
-        None => None,
-        Some(baseline_path) => {
-            let text = match std::fs::read_to_string(baseline_path) {
-                Ok(t) => t,
-                Err(e) => {
-                    eprintln!("error: cannot read baseline {baseline_path}: {e}");
-                    return ExitCode::FAILURE;
-                }
-            };
-            match stmbench7::lab::json::parse(&text) {
-                Ok(doc) => {
-                    let format = doc.get("format").and_then(|f| f.as_str());
-                    if !format.is_some_and(stmbench7::lab::format_supported) {
-                        eprintln!(
-                            "error: baseline {baseline_path} has format {format:?}, expected {:?} or older",
-                            stmbench7::lab::FORMAT
-                        );
-                        return ExitCode::FAILURE;
-                    }
-                    Some(doc)
-                }
-                Err(e) => {
-                    eprintln!("error: baseline {baseline_path}: {e}");
-                    return ExitCode::FAILURE;
-                }
-            }
-        }
-    };
-
-    eprintln!(
-        "lab spec '{}': {} cells × {} reps × {:.2} s (+{:.2} s warmup each) — ~{:.0} s measured",
-        spec.name,
-        spec.cells.len(),
-        spec.repetitions,
-        spec.secs_per_cell,
-        spec.warmup_secs,
-        spec.measured_secs(),
-    );
-    let result = run_spec(&spec, |line| eprintln!("{line}"));
-
-    println!(
-        "{:<40} {:>12} {:>12} {:>12} {:>10}",
-        "cell", "median op/s", "p95 op/s", "completed", "aborts/c"
-    );
-    for cell in &result.cells {
-        println!(
-            "{:<40} {:>12.1} {:>12.1} {:>12} {:>10.3}",
-            cell.cell.key(),
-            cell.throughput.median,
-            cell.throughput.p95,
-            cell.completed,
-            cell.abort_ratio(),
-        );
-    }
-
-    // Windowed SLO checks: printed for every run so the per-window tail
-    // is visible, but they only *gate* (exit nonzero) under --compare,
-    // mirroring the throughput regression gate.
-    let slo_checks = check_slos(&result);
-    if !slo_checks.is_empty() {
-        println!("\nwindowed SLO checks (p99 per window):");
-        for check in &slo_checks {
-            let aggregate = check
-                .aggregate_p99_us
-                .map_or_else(|| "n/a".to_string(), |us| format!("{us} us"));
-            println!(
-                "  {} {}: {} breaching windows (allowed {}) against p99 ≤ {} us; worst window p99 {} us, aggregate p99 {aggregate}",
-                if check.pass() { "PASS" } else { "FAIL" },
-                check.key,
-                check.violations,
-                check.slo.max_violation_windows,
-                check.slo.p99_us,
-                check.worst_p99_us,
-            );
-        }
-    }
-    let slo_failed = slo_checks.iter().any(|c| !c.pass());
-
-    let out_path = args
-        .out
-        .clone()
-        .unwrap_or_else(|| format!("results/BENCH_{}.json", spec.name));
-    if let Some(dir) = std::path::Path::new(&out_path).parent() {
-        if !dir.as_os_str().is_empty() {
-            if let Err(e) = std::fs::create_dir_all(dir) {
-                eprintln!("error: cannot create {}: {e}", dir.display());
-                return ExitCode::FAILURE;
-            }
-        }
-    }
-    let document = result.to_json();
-    if let Err(e) = std::fs::write(&out_path, document.render()) {
-        eprintln!("error: cannot write {out_path}: {e}");
-        return ExitCode::FAILURE;
-    }
-    eprintln!("wrote {out_path}");
-
-    if let Some(dir) = &args.trace {
-        if let Err(e) = std::fs::create_dir_all(dir) {
-            eprintln!("error: cannot create {dir}: {e}");
-            return ExitCode::FAILURE;
-        }
-        let mut written = 0usize;
-        for cell in &result.cells {
-            if let Some(trace) = &cell.trace {
-                let file = format!("{dir}/{}.trace.json", trace_file_stem(&cell.cell.key()));
-                if let Err(e) = std::fs::write(&file, chrome_trace_json(trace)) {
-                    eprintln!("error: cannot write {file}: {e}");
-                    return ExitCode::FAILURE;
-                }
-                written += 1;
-            }
-        }
-        eprintln!("wrote {written} trace files to {dir}");
-    }
-
-    if let Some(baseline) = &baseline {
-        match compare_documents(baseline, &document, args.tolerance) {
-            Err(e) => {
-                eprintln!("error: {e}");
-                return ExitCode::FAILURE;
-            }
-            Ok(comparison) => {
-                print!("{}", comparison.render());
-                if !comparison.ok() {
-                    return ExitCode::FAILURE;
-                }
-            }
-        }
-        if slo_failed {
-            eprintln!("SLO gate failed: a cell breached its windowed p99 objective");
-            return ExitCode::FAILURE;
-        }
-    }
-    ExitCode::SUCCESS
-}
-
-struct ServeArgs {
-    schedule: Option<Schedule>,
-    backend: BackendChoice,
-    params: StructureParams,
-    workload: WorkloadType,
-    workers: Option<usize>,
-    queue_cap: usize,
-    admission: Admission,
-    batch: usize,
-    affinity: Affinity,
-    requests: Option<u64>,
-    length: f64,
-    seed: u64,
-    no_traversals: bool,
-    no_sms: bool,
-    astm_friendly: bool,
-    validate: bool,
-    trace: Option<String>,
-    window: Option<u64>,
-}
-
-fn parse_serve_args(argv: &[String]) -> Result<ServeArgs, String> {
-    let mut args = ServeArgs {
-        schedule: None,
-        backend: BackendChoice::Coarse,
-        params: StructureParams::small(),
-        workload: WorkloadType::ReadDominated,
-        workers: None,
-        queue_cap: 1024,
-        admission: Admission::Block,
-        batch: 1,
-        affinity: Affinity::None,
-        requests: None,
-        length: 5.0,
-        seed: 1,
-        no_traversals: false,
-        no_sms: false,
-        astm_friendly: false,
-        validate: false,
-        trace: None,
-        window: None,
-    };
-    let mut i = 0;
-    let value = |i: &mut usize| -> Result<String, String> {
-        *i += 1;
-        argv.get(*i)
-            .cloned()
-            .ok_or_else(|| format!("missing value for {}", argv[*i - 1]))
-    };
-    while i < argv.len() {
-        match argv[i].as_str() {
-            "-g" | "--backend" => {
-                let v = value(&mut i)?;
-                args.backend = BackendChoice::parse(&v).ok_or(format!("unknown strategy '{v}'"))?;
-            }
-            "-s" => {
-                let v = value(&mut i)?;
-                let shards = args.params.index_shards;
-                args.params = parse_preset(&v)
-                    .ok_or(format!("unknown preset '{v}'"))?
-                    .with_shards(shards);
-            }
-            "--shards" => {
-                let n: usize = value(&mut i)?
-                    .parse()
-                    .map_err(|e| format!("--shards: {e}"))?;
-                if n == 0 {
-                    return Err("--shards must be ≥ 1".into());
-                }
-                args.params = args.params.clone().with_shards(n);
-                args.params.check().map_err(|e| format!("--shards: {e}"))?;
-            }
-            "-w" => {
-                let v = value(&mut i)?;
-                args.workload = WorkloadType::parse(&v).ok_or(format!("unknown workload '{v}'"))?;
-            }
-            "--workers" => {
-                let n: usize = value(&mut i)?
-                    .parse()
-                    .map_err(|e| format!("--workers: {e}"))?;
-                if n == 0 {
-                    return Err("--workers must be ≥ 1".into());
-                }
-                args.workers = Some(n);
-            }
-            "--queue-cap" => {
-                let n: usize = value(&mut i)?
-                    .parse()
-                    .map_err(|e| format!("--queue-cap: {e}"))?;
-                if n == 0 {
-                    return Err("--queue-cap must be ≥ 1".into());
-                }
-                args.queue_cap = n;
-            }
-            "--admission" => {
-                let v = value(&mut i)?;
-                args.admission = Admission::parse(&v)
-                    .ok_or(format!("unknown admission policy '{v}' (block|reject)"))?;
-            }
-            "--batch" => {
-                let k: usize = value(&mut i)?
-                    .parse()
-                    .map_err(|e| format!("--batch: {e}"))?;
-                if k == 0 {
-                    return Err("--batch must be ≥ 1".into());
-                }
-                args.batch = k;
-            }
-            "--affinity" => {
-                let v = value(&mut i)?;
-                args.affinity =
-                    Affinity::parse(&v).ok_or(format!("unknown affinity '{v}' (none|shard)"))?;
-            }
-            "--requests" => {
-                args.requests = Some(
-                    value(&mut i)?
-                        .parse()
-                        .map_err(|e| format!("--requests: {e}"))?,
-                )
-            }
-            "-l" => {
-                let secs: f64 = value(&mut i)?.parse().map_err(|e| format!("-l: {e}"))?;
-                if !secs.is_finite() || secs <= 0.0 {
-                    return Err(format!("-l must be a positive duration, got {secs}"));
-                }
-                args.length = secs;
-            }
-            "--seed" => args.seed = value(&mut i)?.parse().map_err(|e| format!("--seed: {e}"))?,
-            "--no-traversals" => args.no_traversals = true,
-            "--no-sms" => args.no_sms = true,
-            "--astm-friendly" => args.astm_friendly = true,
-            "--validate" => args.validate = true,
-            "--trace" => args.trace = Some(value(&mut i)?),
-            "--window" => args.window = Some(parse_window(&value(&mut i)?)?),
-            "-h" | "--help" => {
-                print!("{SERVE_USAGE}");
-                std::process::exit(0);
-            }
-            other if !other.starts_with('-') && args.schedule.is_none() => {
-                args.schedule = Some(Schedule::parse(other).ok_or(format!(
-                    "bad schedule '{other}' (closed:N | open:RATE | bursty:RATE:BURST:PERIOD_MS)"
-                ))?);
-            }
-            other => return Err(format!("unknown argument '{other}'")),
-        }
-        i += 1;
-    }
-    Ok(args)
-}
-
-fn serve_main(argv: &[String]) -> ExitCode {
-    let args = match parse_serve_args(argv) {
-        Ok(a) => a,
-        Err(msg) => {
-            eprintln!("error: {msg}\n\n{SERVE_USAGE}");
-            return ExitCode::from(2);
-        }
-    };
-    let Some(schedule) = args.schedule else {
-        eprintln!("error: no schedule named\n\n{SERVE_USAGE}");
-        return ExitCode::from(2);
-    };
-    let workers = args.workers.unwrap_or(match schedule {
-        Schedule::Closed { clients } => clients,
-        _ => 2,
-    });
-    let recorder = match &args.trace {
-        Some(_) => Recorder::enabled(),
-        None => Recorder::off(),
-    };
-    let cfg = ServeConfig {
-        schedule,
-        workers,
-        queue_cap: args.queue_cap,
-        admission: args.admission,
-        batch_max: args.batch,
-        affinity: args.affinity,
-        workload: args.workload,
-        long_traversals: !args.no_traversals,
-        structure_mods: !args.no_sms,
-        filter: if args.astm_friendly {
-            OpFilter::astm_friendly()
-        } else {
-            OpFilter::none()
-        },
-        seed: args.seed,
-        recorder: recorder.clone(),
-        window_ms: args.window,
-    };
-    let requests = match args.requests {
-        Some(n) => cfg.generate(n),
-        None => match cfg.generate_for(Duration::from_secs_f64(args.length)) {
-            Some(reqs) => reqs,
-            None => {
-                eprintln!("error: closed schedules need --requests\n\n{SERVE_USAGE}");
-                return ExitCode::from(2);
-            }
-        },
-    };
-    if requests.is_empty() {
-        eprintln!(
-            "error: the schedule offers no requests before the horizon; raise -l or the rate"
-        );
-        return ExitCode::from(2);
-    }
-
-    eprintln!(
-        "building structure (preset with {} atomic parts)...",
-        args.params.initial_atomics()
-    );
-    let ws = Workspace::build(args.params.clone(), args.seed);
-    let backend = AnyBackend::build_traced(args.backend, ws, recorder.clone());
-    eprintln!(
-        "serving: schedule={} backend={} workers={} queue={} admission={} batch={} affinity={} requests={}",
-        schedule.key(),
-        backend.name(),
-        cfg.workers,
-        cfg.queue_cap,
-        cfg.admission.key(),
-        cfg.batch_max,
-        cfg.affinity.key(),
-        requests.len(),
-    );
-    let result = serve(&backend, &args.params, &cfg, &requests);
-    print!("{}", result.report.render(false));
-
-    if args.validate {
-        match validate(&backend.export()) {
-            Ok(census) => eprintln!(
-                "structure valid: {} atomic parts, {} assemblies",
-                census.atomic_parts,
-                census.base_assemblies + census.complex_assemblies
-            ),
-            Err(msg) => {
-                eprintln!("STRUCTURE CORRUPTED: {msg}");
-                return ExitCode::FAILURE;
-            }
-        }
-    }
-    if let Some(path) = &args.trace {
-        // Drop first: the RCL backend's server thread only flushes its
-        // trace lane when the thread exits at backend drop.
-        drop(backend);
-        if let Err(msg) = write_trace(path, &recorder.take_trace()) {
-            eprintln!("error: {msg}");
-            return ExitCode::FAILURE;
-        }
-    }
-    ExitCode::SUCCESS
-}
-
-struct NetServeArgs {
-    addr: String,
-    backend: BackendChoice,
-    params: StructureParams,
-    workload: WorkloadType,
-    workers: usize,
-    queue_cap: usize,
-    admission: Admission,
-    batch: usize,
-    affinity: Affinity,
-    seed: u64,
-    validate: bool,
-    trace: Option<String>,
-    window: Option<u64>,
-    metrics: Option<String>,
-}
-
-fn parse_net_serve_args(argv: &[String]) -> Result<NetServeArgs, String> {
-    let mut args = NetServeArgs {
-        addr: "127.0.0.1:7117".to_string(),
-        backend: BackendChoice::Coarse,
-        params: StructureParams::small(),
-        workload: WorkloadType::ReadDominated,
-        workers: 2,
-        queue_cap: 1024,
-        admission: Admission::Block,
-        batch: 1,
-        affinity: Affinity::None,
-        seed: 1,
-        validate: false,
-        trace: None,
-        window: None,
-        metrics: None,
-    };
-    let mut i = 0;
-    let value = |i: &mut usize| -> Result<String, String> {
-        *i += 1;
-        argv.get(*i)
-            .cloned()
-            .ok_or_else(|| format!("missing value for {}", argv[*i - 1]))
-    };
-    while i < argv.len() {
-        match argv[i].as_str() {
-            "--addr" => args.addr = value(&mut i)?,
-            "-g" | "--backend" => {
-                let v = value(&mut i)?;
-                args.backend = BackendChoice::parse(&v).ok_or(format!("unknown strategy '{v}'"))?;
-            }
-            "-s" => {
-                let v = value(&mut i)?;
-                let shards = args.params.index_shards;
-                args.params = parse_preset(&v)
-                    .ok_or(format!("unknown preset '{v}'"))?
-                    .with_shards(shards);
-            }
-            "--shards" => {
-                let n: usize = value(&mut i)?
-                    .parse()
-                    .map_err(|e| format!("--shards: {e}"))?;
-                if n == 0 {
-                    return Err("--shards must be ≥ 1".into());
-                }
-                args.params = args.params.clone().with_shards(n);
-                args.params.check().map_err(|e| format!("--shards: {e}"))?;
-            }
-            "-w" => {
-                let v = value(&mut i)?;
-                args.workload = WorkloadType::parse(&v).ok_or(format!("unknown workload '{v}'"))?;
-            }
-            "--workers" => {
-                let n: usize = value(&mut i)?
-                    .parse()
-                    .map_err(|e| format!("--workers: {e}"))?;
-                if n == 0 {
-                    return Err("--workers must be ≥ 1".into());
-                }
-                args.workers = n;
-            }
-            "--queue-cap" => {
-                let n: usize = value(&mut i)?
-                    .parse()
-                    .map_err(|e| format!("--queue-cap: {e}"))?;
-                if n == 0 {
-                    return Err("--queue-cap must be ≥ 1".into());
-                }
-                args.queue_cap = n;
-            }
-            "--admission" => {
-                let v = value(&mut i)?;
-                args.admission = Admission::parse(&v)
-                    .ok_or(format!("unknown admission policy '{v}' (block|reject)"))?;
-            }
-            "--batch" => {
-                let k: usize = value(&mut i)?
-                    .parse()
-                    .map_err(|e| format!("--batch: {e}"))?;
-                if k == 0 {
-                    return Err("--batch must be ≥ 1".into());
-                }
-                args.batch = k;
-            }
-            "--affinity" => {
-                let v = value(&mut i)?;
-                args.affinity =
-                    Affinity::parse(&v).ok_or(format!("unknown affinity '{v}' (none|shard)"))?;
-            }
-            "--seed" => args.seed = value(&mut i)?.parse().map_err(|e| format!("--seed: {e}"))?,
-            "--validate" => args.validate = true,
-            "--trace" => args.trace = Some(value(&mut i)?),
-            "--window" => args.window = Some(parse_window(&value(&mut i)?)?),
-            "--metrics" => args.metrics = Some(value(&mut i)?),
-            "-h" | "--help" => {
-                print!("{NET_SERVE_USAGE}");
-                std::process::exit(0);
-            }
-            other => return Err(format!("unknown argument '{other}'")),
-        }
-        i += 1;
-    }
-    Ok(args)
-}
-
-fn net_serve_main(argv: &[String]) -> ExitCode {
-    let args = match parse_net_serve_args(argv) {
-        Ok(a) => a,
-        Err(msg) => {
-            eprintln!("error: {msg}\n\n{NET_SERVE_USAGE}");
-            return ExitCode::from(2);
-        }
-    };
-    let listener = match std::net::TcpListener::bind(&args.addr) {
-        Ok(l) => l,
-        Err(e) => {
-            eprintln!("error: cannot bind {}: {e}", args.addr);
-            return ExitCode::FAILURE;
-        }
-    };
-    let metrics = match &args.metrics {
-        None => None,
-        Some(addr) => match std::net::TcpListener::bind(addr) {
-            Ok(l) => Some(l),
-            Err(e) => {
-                eprintln!("error: cannot bind metrics endpoint {addr}: {e}");
-                return ExitCode::FAILURE;
-            }
-        },
-    };
-    // A metrics endpoint without a sampler would expose frozen gauges;
-    // scraping implies windowing at the default cadence.
-    let mut window = args.window;
-    if metrics.is_some() {
-        window.get_or_insert(stmbench7::obs::DEFAULT_WINDOW_MS);
-    }
-    eprintln!(
-        "building structure (preset with {} atomic parts)...",
-        args.params.initial_atomics()
-    );
-    let ws = Workspace::build(args.params.clone(), args.seed);
-    let recorder = match &args.trace {
-        Some(_) => Recorder::enabled(),
-        None => Recorder::off(),
-    };
-    let backend = AnyBackend::build_traced(args.backend, ws, recorder.clone());
-    let cfg = ServeConfig {
-        // The schedule is inert: arrivals come off the wire. The report
-        // overrides it with `net:<addr>`.
-        schedule: Schedule::Closed {
-            clients: args.workers,
-        },
-        workers: args.workers,
-        queue_cap: args.queue_cap,
-        admission: args.admission,
-        batch_max: args.batch,
-        affinity: args.affinity,
-        workload: args.workload,
-        long_traversals: true,
-        structure_mods: true,
-        filter: OpFilter::none(),
-        seed: args.seed,
-        recorder: recorder.clone(),
-        window_ms: window,
-    };
-    // `metrics on` precedes `listening on`: scripts that break at the
-    // readiness line see both addresses once it appears.
-    if let Some(m) = &metrics {
-        match m.local_addr() {
-            Ok(addr) => eprintln!("metrics on {addr}"),
-            Err(e) => {
-                eprintln!("error: bound metrics socket has no address: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
-    }
-    // The readiness line the shutdown smoke test (and any script driving
-    // `--addr host:0`) parses for the actual port.
-    match listener.local_addr() {
-        Ok(addr) => eprintln!("listening on {addr}"),
-        Err(e) => {
-            eprintln!("error: bound socket has no address: {e}");
-            return ExitCode::FAILURE;
-        }
-    }
-    eprintln!(
-        "serving: backend={} workers={} queue={} admission={} batch={} affinity={}",
-        backend.name(),
-        cfg.workers,
-        cfg.queue_cap,
-        cfg.admission.key(),
-        cfg.batch_max,
-        cfg.affinity.key(),
-    );
-    let result = match serve_net(&backend, &args.params, &cfg, listener, metrics) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("error: server failed: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    eprintln!("shutdown frame received; queue drained");
-    print!("{}", result.report.render(false));
-    if args.validate {
-        match validate(&backend.export()) {
-            Ok(census) => eprintln!(
-                "structure valid: {} atomic parts, {} assemblies",
-                census.atomic_parts,
-                census.base_assemblies + census.complex_assemblies
-            ),
-            Err(msg) => {
-                eprintln!("STRUCTURE CORRUPTED: {msg}");
-                return ExitCode::FAILURE;
-            }
-        }
-    }
-    if let Some(path) = &args.trace {
-        // Drop first: the RCL backend's server thread only flushes its
-        // trace lane when the thread exits at backend drop.
-        drop(backend);
-        if let Err(msg) = write_trace(path, &recorder.take_trace()) {
-            eprintln!("error: {msg}");
-            return ExitCode::FAILURE;
-        }
-    }
-    ExitCode::SUCCESS
-}
-
-struct NetDriveArgs {
-    schedule: Option<Schedule>,
-    addr: Option<String>,
-    connections: usize,
-    inflight: usize,
-    workload: WorkloadType,
-    requests: Option<u64>,
-    length: f64,
-    seed: u64,
-    no_traversals: bool,
-    no_sms: bool,
-    astm_friendly: bool,
-    shutdown: bool,
-}
-
-fn parse_net_drive_args(argv: &[String]) -> Result<NetDriveArgs, String> {
-    let mut args = NetDriveArgs {
-        schedule: None,
-        addr: None,
-        connections: 2,
-        inflight: 0,
-        workload: WorkloadType::ReadDominated,
-        requests: None,
-        length: 5.0,
-        seed: 1,
-        no_traversals: false,
-        no_sms: false,
-        astm_friendly: false,
-        shutdown: false,
-    };
-    let mut i = 0;
-    let value = |i: &mut usize| -> Result<String, String> {
-        *i += 1;
-        argv.get(*i)
-            .cloned()
-            .ok_or_else(|| format!("missing value for {}", argv[*i - 1]))
-    };
-    while i < argv.len() {
-        match argv[i].as_str() {
-            "--addr" => args.addr = Some(value(&mut i)?),
-            "--connections" => {
-                let n: usize = value(&mut i)?
-                    .parse()
-                    .map_err(|e| format!("--connections: {e}"))?;
-                if n == 0 {
-                    return Err("--connections must be ≥ 1".into());
-                }
-                args.connections = n;
-            }
-            "--inflight" => {
-                args.inflight = value(&mut i)?
-                    .parse()
-                    .map_err(|e| format!("--inflight: {e}"))?;
-            }
-            "-w" => {
-                let v = value(&mut i)?;
-                args.workload = WorkloadType::parse(&v).ok_or(format!("unknown workload '{v}'"))?;
-            }
-            "--requests" => {
-                args.requests = Some(
-                    value(&mut i)?
-                        .parse()
-                        .map_err(|e| format!("--requests: {e}"))?,
-                )
-            }
-            "-l" => {
-                let secs: f64 = value(&mut i)?.parse().map_err(|e| format!("-l: {e}"))?;
-                if !secs.is_finite() || secs <= 0.0 {
-                    return Err(format!("-l must be a positive duration, got {secs}"));
-                }
-                args.length = secs;
-            }
-            "--seed" => args.seed = value(&mut i)?.parse().map_err(|e| format!("--seed: {e}"))?,
-            "--no-traversals" => args.no_traversals = true,
-            "--no-sms" => args.no_sms = true,
-            "--astm-friendly" => args.astm_friendly = true,
-            "--shutdown" => args.shutdown = true,
-            "-h" | "--help" => {
-                print!("{NET_DRIVE_USAGE}");
-                std::process::exit(0);
-            }
-            other if !other.starts_with('-') && args.schedule.is_none() => {
-                args.schedule = Some(Schedule::parse(other).ok_or(format!(
-                    "bad schedule '{other}' (closed:N | open:RATE | bursty:RATE:BURST:PERIOD_MS)"
-                ))?);
-            }
-            other => return Err(format!("unknown argument '{other}'")),
-        }
-        i += 1;
-    }
-    Ok(args)
-}
-
-fn net_drive_main(argv: &[String]) -> ExitCode {
-    let args = match parse_net_drive_args(argv) {
-        Ok(a) => a,
-        Err(msg) => {
-            eprintln!("error: {msg}\n\n{NET_DRIVE_USAGE}");
-            return ExitCode::from(2);
-        }
-    };
-    let Some(schedule) = args.schedule else {
-        eprintln!("error: no schedule named\n\n{NET_DRIVE_USAGE}");
-        return ExitCode::from(2);
-    };
-    let Some(addr) = args.addr else {
-        eprintln!("error: --addr is required\n\n{NET_DRIVE_USAGE}");
-        return ExitCode::from(2);
-    };
-    let cfg = DriveConfig {
-        schedule,
-        connections: args.connections,
-        inflight: args.inflight,
-        workload: args.workload,
-        long_traversals: !args.no_traversals,
-        structure_mods: !args.no_sms,
-        filter: if args.astm_friendly {
-            OpFilter::astm_friendly()
-        } else {
-            OpFilter::none()
-        },
-        seed: args.seed,
-    };
-    let requests = match args.requests {
-        Some(n) => cfg.generate(n),
-        None => match cfg.generate_for(Duration::from_secs_f64(args.length)) {
-            Some(reqs) => reqs,
-            None => {
-                eprintln!("error: closed schedules need --requests\n\n{NET_DRIVE_USAGE}");
-                return ExitCode::from(2);
-            }
-        },
-    };
-    if requests.is_empty() {
-        eprintln!(
-            "error: the schedule offers no requests before the horizon; raise -l or the rate"
-        );
-        return ExitCode::from(2);
-    }
-    eprintln!(
-        "driving: schedule={} addr={addr} connections={} requests={}",
-        schedule.key(),
-        cfg.connections,
-        requests.len(),
-    );
-    let result = match drive(addr.as_str(), &cfg, &requests) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("error: drive failed: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    print!("{}", result.report.render(false));
-    if args.shutdown {
-        if let Err(e) = stmbench7::net::shutdown(addr.as_str()) {
-            eprintln!("error: shutdown not acknowledged: {e}");
-            return ExitCode::FAILURE;
-        }
-        eprintln!("server shutdown acknowledged");
-    }
-    ExitCode::SUCCESS
-}
-
-/// Writes a trace as Chrome `trace_event` JSON, creating parent
-/// directories as needed.
-fn write_trace(path: &str, trace: &Trace) -> Result<(), String> {
-    if let Some(dir) = std::path::Path::new(path).parent() {
-        if !dir.as_os_str().is_empty() {
-            std::fs::create_dir_all(dir)
-                .map_err(|e| format!("cannot create {}: {e}", dir.display()))?;
-        }
-    }
-    std::fs::write(path, chrome_trace_json(trace))
-        .map_err(|e| format!("cannot write {path}: {e}"))?;
-    eprintln!(
-        "wrote {path} ({} events, {} dropped)",
-        trace.events.len(),
-        trace.dropped
-    );
-    Ok(())
-}
-
-/// Flattens a cell key (`coarse/rw/4t/...`) into a filename stem.
-fn trace_file_stem(key: &str) -> String {
-    key.chars()
-        .map(|c| {
-            if c.is_ascii_alphanumeric() || c == '-' || c == '.' {
-                c
-            } else {
-                '_'
-            }
-        })
-        .collect()
-}
-
-/// Parses a Chrome `trace_event` JSON file written by `--trace` back
-/// into a [`Trace`] (the inverse of `chrome_trace_json`).
-fn parse_trace_file(text: &str) -> Result<Trace, String> {
-    let doc = stmbench7::lab::json::parse(text)?;
-    let events = doc.as_array().ok_or("trace is not a JSON array")?;
-    let mut trace = Trace::default();
-    // Event names come from a small static vocabulary (operation names,
-    // lock names, phases), so leaking one copy per distinct name to get
-    // back to `&'static str` is bounded.
-    let mut names: Vec<&'static str> = Vec::new();
-    for ev in events {
-        let name = ev
-            .get("name")
-            .and_then(|v| v.as_str())
-            .ok_or("event without a name")?;
-        if name == "trace_dropped" {
-            trace.dropped = ev
-                .get("args")
-                .and_then(|a| a.get("dropped"))
-                .and_then(|d| d.as_u64())
-                .unwrap_or(0);
-            continue;
-        }
-        let Some(layer) = ev
-            .get("cat")
-            .and_then(|v| v.as_str())
-            .and_then(Layer::parse)
-        else {
-            continue; // foreign category; not one of ours
-        };
-        let kind = ev
-            .get("args")
-            .and_then(|a| a.get("kind"))
-            .and_then(|k| k.as_str())
-            .and_then(EventKind::parse)
-            .ok_or_else(|| format!("event '{name}' has no recognizable kind"))?;
-        let static_name = match names.iter().find(|n| **n == name) {
-            Some(n) => *n,
-            None => {
-                let leaked: &'static str = Box::leak(name.to_string().into_boxed_str());
-                names.push(leaked);
-                leaked
-            }
-        };
-        let micros = |key: &str| {
-            ev.get(key)
-                .and_then(|v| v.as_f64())
-                .map_or(0, |us| (us * 1_000.0).round() as u64)
-        };
-        trace.events.push(Event {
-            layer,
-            kind,
-            name: static_name,
-            t_ns: micros("ts"),
-            dur_ns: micros("dur"),
-            arg: ev
-                .get("args")
-                .and_then(|a| a.get("arg"))
-                .and_then(|v| v.as_u64())
-                .unwrap_or(0),
-            tid: ev.get("tid").and_then(|v| v.as_u64()).unwrap_or(0) as u32,
-        });
-    }
-    Ok(trace)
-}
-
-fn trace_summary_main(argv: &[String]) -> ExitCode {
-    if argv.iter().any(|a| a == "-h" || a == "--help") {
-        print!("{TRACE_SUMMARY_USAGE}");
-        return ExitCode::SUCCESS;
-    }
-    let mut path: Option<&String> = None;
-    let mut top: Option<usize> = None;
-    let mut i = 0;
-    while i < argv.len() {
-        match argv[i].as_str() {
-            "--top" => {
-                i += 1;
-                let Some(v) = argv.get(i) else {
-                    eprintln!("error: missing value for --top\n\n{TRACE_SUMMARY_USAGE}");
-                    return ExitCode::from(2);
-                };
-                match v.parse::<usize>() {
-                    Ok(n) if n >= 1 => top = Some(n),
-                    _ => {
-                        eprintln!("error: --top needs a count ≥ 1, got '{v}'");
-                        return ExitCode::from(2);
-                    }
-                }
-            }
-            _ if path.is_none() && !argv[i].starts_with('-') => path = Some(&argv[i]),
-            other => {
-                eprintln!("error: unknown argument '{other}'\n\n{TRACE_SUMMARY_USAGE}");
-                return ExitCode::from(2);
-            }
-        }
-        i += 1;
-    }
-    let Some(path) = path else {
-        eprintln!("error: expected a trace file\n\n{TRACE_SUMMARY_USAGE}");
-        return ExitCode::from(2);
-    };
-    let text = match std::fs::read_to_string(path) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("error: cannot read {path}: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    match parse_trace_file(&text) {
-        Ok(trace) => {
-            print!("{}", summarize(&trace));
-            if let Some(n) = top {
-                println!();
-                print!("{}", top_spans(&trace, n));
-            }
-            ExitCode::SUCCESS
-        }
-        Err(e) => {
-            eprintln!("error: {path}: {e}");
-            ExitCode::FAILURE
-        }
-    }
-}
 
 fn main() -> ExitCode {
     let argv: Vec<String> = std::env::args().skip(1).collect();
-    if argv.first().map(String::as_str) == Some("lab") {
-        return lab_main(&argv[1..]);
-    }
-    if argv.first().map(String::as_str) == Some("trace-summary") {
-        return trace_summary_main(&argv[1..]);
-    }
-    if argv.first().map(String::as_str) == Some("serve") {
-        return serve_main(&argv[1..]);
-    }
-    if argv.first().map(String::as_str) == Some("net-serve") {
-        return net_serve_main(&argv[1..]);
-    }
-    if argv.first().map(String::as_str) == Some("net-drive") {
-        return net_drive_main(&argv[1..]);
-    }
-    let args = match parse_args() {
-        Ok(a) => a,
-        Err(msg) => {
-            eprintln!("error: {msg}\n\n{USAGE}");
-            return ExitCode::FAILURE;
-        }
-    };
-
-    eprintln!(
-        "building structure (preset with {} atomic parts)...",
-        args.params.initial_atomics()
-    );
-    let ws = Workspace::build(args.params.clone(), args.seed);
-    if args.describe {
-        describe(&args.params, &ws);
-        return ExitCode::SUCCESS;
-    }
-    let recorder = match &args.trace {
-        Some(_) => Recorder::enabled(),
-        None => Recorder::off(),
-    };
-    let backend = AnyBackend::build_traced(args.backend, ws, recorder.clone());
-
-    let cfg = BenchConfig {
-        threads: args.threads,
-        mode: match args.ops {
-            Some(n) => RunMode::FixedOps(n),
-            None => RunMode::Timed(Duration::from_secs(args.length)),
-        },
-        workload: args.workload,
-        long_traversals: !args.no_traversals,
-        structure_mods: !args.no_sms,
-        filter: if args.astm_friendly {
-            OpFilter::astm_friendly()
-        } else {
-            OpFilter::none()
-        },
-        seed: args.seed,
-        histograms: args.histograms,
-        recorder: recorder.clone(),
-        window_ms: args.window,
-    };
-    eprintln!(
-        "running: backend={} threads={} workload={} ...",
-        backend.name(),
-        cfg.threads,
-        cfg.workload.name()
-    );
-    let report = run_benchmark(&backend, &args.params, &cfg);
-    print!("{}", report.render(args.histograms));
-
-    if let Some(path) = &args.csv {
-        use std::io::Write;
-        let mut file = std::fs::OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(path)
-            .expect("cannot open CSV file");
-        for row in report.csv_rows() {
-            writeln!(file, "{row}").expect("cannot write CSV row");
-        }
-        eprintln!("appended {} rows to {path}", report.csv_rows().len());
-    }
-
-    if args.validate {
-        match validate(&backend.export()) {
-            Ok(census) => eprintln!(
-                "structure valid: {} atomic parts, {} assemblies",
-                census.atomic_parts,
-                census.base_assemblies + census.complex_assemblies
-            ),
-            Err(msg) => {
-                eprintln!("STRUCTURE CORRUPTED: {msg}");
-                return ExitCode::FAILURE;
-            }
-        }
-    }
-    if let Some(path) = &args.trace {
-        // Drop first: the RCL backend's server thread only flushes its
-        // trace lane when the thread exits at backend drop.
-        drop(backend);
-        if let Err(msg) = write_trace(path, &recorder.take_trace()) {
-            eprintln!("error: {msg}");
-            return ExitCode::FAILURE;
-        }
-    }
-    ExitCode::SUCCESS
+    stmbench7::cli::main(&argv)
 }

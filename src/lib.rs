@@ -6,7 +6,8 @@
 //! the STM runtimes, the synchronization backends (including
 //! [`AnyBackend`], the single dispatchable type over every strategy), the
 //! benchmark core, and the [`lab`] experiment harness used by the
-//! `stmbench7 lab` subcommand and the sweep binaries.
+//! `stmbench7 lab` subcommand; [`cli`] is the binary's flag table and
+//! argument parser.
 //!
 //! # Quickstart
 //!
@@ -22,6 +23,8 @@
 //! let report = run_benchmark(&backend, &params, &cfg);
 //! assert_eq!(report.total_started(), 100);
 //! ```
+
+pub mod cli;
 
 pub use stmbench7_backend as backend;
 pub use stmbench7_core as core;

@@ -2,10 +2,10 @@
 //! Appendix A.1): flag parsing, the report sections, `--describe`, and
 //! post-run validation, exercised through the real binary.
 
-use std::process::Command;
+use stmbench7::cli::{self, Command, Flag, Kind, COMMANDS, FLAGS};
 
-fn stmbench7() -> Command {
-    Command::new(env!("CARGO_BIN_EXE_stmbench7"))
+fn stmbench7() -> std::process::Command {
+    std::process::Command::new(env!("CARGO_BIN_EXE_stmbench7"))
 }
 
 fn run_ok(args: &[&str]) -> (String, String) {
@@ -150,16 +150,166 @@ fn stm_strategies_report_stm_statistics() {
     assert!(stdout.contains("commits"));
 }
 
+/// Runs the binary expecting a usage error: exit 2, `needle` and the
+/// usage text on stderr.
+fn assert_usage_error(args: &[&str], needle: &str) {
+    let out = stmbench7().args(args).output().expect("binary must launch");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(
+        out.status.code(),
+        Some(2),
+        "{args:?} must exit 2:\n{stderr}"
+    );
+    assert!(
+        stderr.contains(needle),
+        "{args:?} must name {needle}:\n{stderr}"
+    );
+    assert!(
+        stderr.contains("USAGE"),
+        "{args:?} must print usage:\n{stderr}"
+    );
+}
+
+/// The argument prefix selecting a mode of the binary.
+fn mode_args(cmd: &Command) -> Vec<&'static str> {
+    if cmd.name.is_empty() {
+        vec![]
+    } else {
+        vec![cmd.name]
+    }
+}
+
 #[test]
 fn unknown_flags_fail_with_usage() {
-    let out = stmbench7()
-        .arg("--bogus")
-        .output()
-        .expect("binary must launch");
-    assert!(!out.status.success());
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(stderr.contains("unknown argument"));
-    assert!(stderr.contains("USAGE"));
+    assert_usage_error(&["--bogus"], "unknown argument");
+    // A flag that exists, but only on another subcommand, is unknown too.
+    assert_usage_error(
+        &["net-drive", "--workers", "2"],
+        "unknown argument '--workers'",
+    );
+    assert_usage_error(&["lab", "-g", "coarse"], "unknown argument '-g'");
+    for cmd in COMMANDS {
+        let taken: Vec<&str> = cmd.flags().flat_map(Flag::names).collect();
+        for name in FLAGS.iter().flat_map(Flag::names) {
+            if !taken.contains(&name) {
+                let mut args = mode_args(cmd);
+                args.push(name);
+                assert_usage_error(&args, &format!("unknown argument '{name}'"));
+            }
+        }
+    }
+}
+
+#[test]
+fn bad_flag_values_fail_with_the_flag_name_and_usage() {
+    // The divergences the one table closed: these used to panic in the
+    // engine (-t 0) or be accepted by `run` only (-l 0).
+    assert_usage_error(&["-t", "0"], "-t:");
+    assert_usage_error(&["-l", "0"], "-l:");
+    assert_usage_error(&["--shards", "0"], "--shards:");
+    for cmd in COMMANDS {
+        for flag in cmd.flags() {
+            let bad: &[&str] = match flag.kind {
+                Kind::Switch(_) => continue,
+                Kind::Count(_) | Kind::Positive(_) => &["x", "0"],
+                Kind::Counts(_) | Kind::Positives(_) => &["x", "0", "1,0", "1,,2"],
+                Kind::Number(_) => &["x", "-1"],
+                Kind::Named(..) | Kind::Parsed(_) => &["?"],
+                Kind::Text(_) => &[],
+            };
+            for name in flag.names() {
+                let mut args = mode_args(cmd);
+                args.push(name);
+                assert_usage_error(&args, &format!("missing value for {name}"));
+                for value in bad {
+                    let mut args = args.clone();
+                    args.push(value);
+                    assert_usage_error(&args, &format!("{name}:"));
+                }
+            }
+        }
+    }
+    // Zero is a legal pipelining window: it means unpipelined.
+    let net_drive = COMMANDS.iter().find(|c| c.name == "net-drive").unwrap();
+    assert!(cli::parse(net_drive, &["--inflight".to_string(), "0".to_string()]).is_ok());
+}
+
+#[test]
+fn help_exits_zero_and_mentions_every_flag_of_the_mode() {
+    for cmd in COMMANDS {
+        let mut args = mode_args(cmd);
+        args.push("--help");
+        let (stdout, _) = run_ok(&args);
+        assert!(stdout.contains("USAGE"), "{args:?}:\n{stdout}");
+        for name in cmd.flags().flat_map(Flag::names) {
+            assert!(
+                stdout.contains(name),
+                "{args:?} must mention {name}:\n{stdout}"
+            );
+        }
+    }
+}
+
+#[test]
+fn every_mode_accepts_exactly_its_flags() {
+    // The accepted vocabulary, pinned per mode: adding a flag to a mode
+    // (or dropping one) must be a deliberate edit here too.
+    let expected: [(&str, &str); 6] = [
+        (
+            "",
+            "-s --shards -w --no-traversals --no-sms --astm-friendly -g --backend --cm --trace \
+             --window --seed -l --validate -t --ops --ttc-histograms --csv --describe",
+        ),
+        (
+            "lab",
+            "--shards --trace --window --seed --list --preset --secs --warmup --reps --threads \
+             --rates --out --compare --tolerance",
+        ),
+        (
+            "serve",
+            "-s --shards -w --no-traversals --no-sms --astm-friendly -g --backend --workers \
+             --queue-cap --admission --batch --affinity --trace --window --seed -l --requests \
+             --validate",
+        ),
+        (
+            "net-serve",
+            "-s --shards -w -g --backend --workers --queue-cap --admission --batch --affinity \
+             --trace --window --seed --validate --addr --metrics",
+        ),
+        (
+            "net-drive",
+            "-w --no-traversals --no-sms --astm-friendly --seed -l --requests --addr \
+             --connections --inflight --shutdown",
+        ),
+        ("trace-summary", "--top"),
+    ];
+    assert_eq!(COMMANDS.len(), expected.len());
+    for (cmd, (name, flags)) in COMMANDS.iter().zip(expected) {
+        assert_eq!(cmd.name, name);
+        let taken: Vec<&str> = cmd.flags().flat_map(Flag::names).collect();
+        assert_eq!(
+            taken,
+            flags.split_whitespace().collect::<Vec<_>>(),
+            "{name}"
+        );
+    }
+}
+
+#[test]
+fn preset_and_shards_commute() {
+    for name in ["", "serve", "net-serve"] {
+        let cmd = COMMANDS.iter().find(|c| c.name == name).unwrap();
+        let params = |args: &[&str]| {
+            let argv: Vec<String> = args.iter().map(|a| a.to_string()).collect();
+            cli::parse(cmd, &argv)
+                .unwrap_or_else(|e| panic!("{name}: {e}"))
+                .params()
+        };
+        let a = params(&["-s", "standard", "--shards", "8"]);
+        assert_eq!(a, params(&["--shards", "8", "-s", "standard"]), "{name}");
+        assert_eq!(a.preset_name(), Some("standard"));
+        assert_eq!(a.index_shards, 8);
+    }
 }
 
 #[test]
@@ -200,7 +350,10 @@ mod lab {
         for name in [
             "smoke",
             "paper_fig3",
+            "paper_fig4",
+            "paper_table3",
             "paper_fig6",
+            "ultimate_baseline",
             "scaling",
             "write_storm",
             "mixed_custom",
@@ -254,6 +407,50 @@ mod lab {
                 .is_some_and(|k| k.contains("/s16/"))
                 && c.get("shards").and_then(JsonValue::as_u64) == Some(16)
         }));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn paper_grid_specs_run_and_key_their_cells() {
+        let dir = tmp_dir("paper");
+        for (spec, first_key, cells) in [
+            ("paper_fig4", "coarse/r/1t/no-lt", 6),
+            ("paper_table3", "coarse/r/1t/no-lt", 6),
+            ("ultimate_baseline", "sequential/r/1t/no-lt", 15),
+        ] {
+            let out_path = dir.join(format!("{spec}.json"));
+            let out = out_path.to_str().unwrap();
+            run_ok(&[
+                "lab",
+                spec,
+                "--preset",
+                "tiny",
+                "--secs",
+                "0.05",
+                "--warmup",
+                "0",
+                "--reps",
+                "1",
+                "--threads",
+                "1",
+                "--out",
+                out,
+            ]);
+            let doc = parse(&std::fs::read_to_string(&out_path).unwrap()).unwrap();
+            let cells_json = doc.get("cells").and_then(JsonValue::as_array).unwrap();
+            assert_eq!(cells_json.len(), cells, "{spec}");
+            let key = |c: &JsonValue| c.get("key").and_then(JsonValue::as_str).map(str::to_string);
+            assert_eq!(key(&cells_json[0]).as_deref(), Some(first_key), "{spec}");
+            for cell in cells_json {
+                let key = key(cell).unwrap();
+                assert!(key.ends_with("/1t/no-lt"), "{spec}: {key}");
+                let median = cell.get("throughput").and_then(|t| t.get("median"));
+                assert!(
+                    median.and_then(JsonValue::as_f64).unwrap() > 0.0,
+                    "{spec}: {key}"
+                );
+            }
+        }
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -459,17 +656,18 @@ mod serve {
     #[test]
     fn bad_schedule_fails_with_usage() {
         for bad in ["open:0", "open:x", "warble:3", "closed"] {
-            let out = stmbench7()
-                .args(["serve", bad, "-s", "tiny"])
-                .output()
-                .expect("binary must launch");
-            assert!(!out.status.success(), "'{bad}' must be rejected");
-            let stderr = String::from_utf8_lossy(&out.stderr);
-            assert!(
-                stderr.contains("USAGE"),
-                "'{bad}' must print usage:\n{stderr}"
+            assert_usage_error(&["serve", bad, "-s", "tiny"], "unknown schedule");
+            assert_usage_error(
+                &["net-drive", bad, "--addr", "127.0.0.1:1"],
+                "unknown schedule",
             );
         }
+        // No schedule at all, and a second positional, are usage errors too.
+        assert_usage_error(&["serve", "-s", "tiny"], "no schedule named");
+        assert_usage_error(
+            &["serve", "open:10", "open:20"],
+            "unknown argument 'open:20'",
+        );
     }
 
     #[test]
@@ -966,5 +1164,14 @@ fn csv_flag_appends_rows() {
     let content = std::fs::read_to_string(&csv).expect("CSV written");
     assert!(content.lines().count() > 5, "per-op rows expected");
     assert!(content.lines().all(|l| l.split(',').count() == 8));
+    // An unwritable path is a reported failure, not a panic.
+    let out = stmbench7()
+        .args(["-s", "tiny", "--ops", "10", "--csv"])
+        .arg(dir.join("missing-dir/out.csv"))
+        .output()
+        .expect("binary must launch");
+    assert_eq!(out.status.code(), Some(1));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("error: cannot open"), "{stderr}");
     std::fs::remove_dir_all(&dir).ok();
 }
