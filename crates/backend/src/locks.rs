@@ -181,35 +181,16 @@ impl CoarseBackend {
 
 impl Backend for CoarseBackend {
     fn execute<R: Send, O: TxOperation<R> + Send>(&self, spec: &AccessSpec, op: &mut O) -> R {
-        let rec = &self.obs.recorder;
-        let sampled = rec.sampled();
-        let t0 = if sampled { rec.now_ns() } else { 0 };
         if spec.any_write() {
             let mut ws = self.obs.write(&self.ws, "coarse", false);
-            if sampled {
-                rec.span(Layer::Backend, EventKind::Phase, "lock-plan", t0, 0);
-            }
-            let t1 = if sampled { rec.now_ns() } else { 0 };
             let mut tx = DirectTx::writing(&mut ws);
             op.begin_attempt();
-            let r = op.run(&mut tx);
-            if sampled {
-                rec.span(Layer::Backend, EventKind::Phase, "execute", t1, 0);
-            }
-            unwrap_lock_result(r)
+            unwrap_lock_result(op.run(&mut tx))
         } else {
             let ws = self.obs.read(&self.ws, "coarse", false);
-            if sampled {
-                rec.span(Layer::Backend, EventKind::Phase, "lock-plan", t0, 0);
-            }
-            let t1 = if sampled { rec.now_ns() } else { 0 };
             let mut tx = DirectTx::reading(&ws);
             op.begin_attempt();
-            let r = op.run(&mut tx);
-            if sampled {
-                rec.span(Layer::Backend, EventKind::Phase, "execute", t1, 0);
-            }
-            unwrap_lock_result(r)
+            unwrap_lock_result(op.run(&mut tx))
         }
     }
 
@@ -364,9 +345,6 @@ impl Backend for MediumBackend {
         // ascending, documents, manual. All operations declare the gate,
         // so it always comes first, which is what isolates SM operations
         // from everything.
-        let rec = &self.obs.recorder;
-        let sampled = rec.sampled();
-        let t0 = if sampled { rec.now_ns() } else { 0 };
         let sm = Guard::acquire(&self.sm, spec.sm, &self.obs, "sm-gate", false);
         // Fixed-size guard arrays: the lock plan lives entirely on the
         // stack, so the hot path allocates nothing per execute.
@@ -411,10 +389,6 @@ impl Backend for MediumBackend {
             false,
         );
         let manual = Guard::acquire(&self.manual, spec.manual, &self.obs, "manual", false);
-        if sampled {
-            rec.span(Layer::Backend, EventKind::Phase, "lock-plan", t0, 0);
-        }
-        let t1 = if sampled { rec.now_ns() } else { 0 };
 
         let mut tx = MediumTx {
             module: &self.module,
@@ -430,14 +404,7 @@ impl Backend for MediumBackend {
         };
         op.begin_attempt();
         let r = op.run(&mut tx);
-        if sampled {
-            rec.span(Layer::Backend, EventKind::Phase, "execute", t1, 0);
-        }
-        let t2 = if sampled { rec.now_ns() } else { 0 };
         drop(tx);
-        if sampled {
-            rec.span(Layer::Backend, EventKind::Phase, "commit", t2, 0);
-        }
         unwrap_lock_result(r)
     }
 

@@ -8,16 +8,15 @@
 //! the benchmark."
 
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 use stmbench7_backend::{Backend, TxOperation};
 use stmbench7_data::{OpOutcome, Sb7Tx, StructureParams, TxR};
-use stmbench7_obs::{EventKind, FlightProbes, FlightRecorder, Layer, Recorder};
+use stmbench7_obs::{EventKind, Layer, Recorder};
 
-use crate::histogram::Histogram;
+use crate::ledger::{merge_ops, op_ledger, BackendCounters, Flight};
 use crate::ops::{access_spec, run_op, shard_hint, OpCtx, OpKind};
-use crate::report::{OpReport, Report, Timeseries};
+use crate::report::{OpReport, Report};
 use crate::workload::{OpFilter, WorkloadMix, WorkloadType};
 
 /// How long the benchmark runs.
@@ -75,60 +74,9 @@ impl BenchConfig {
     }
 }
 
-/// Per-thread, per-operation measurements.
-#[derive(Clone, Debug, Default)]
-struct ThreadOpStats {
-    completed: u64,
-    failed: u64,
-    aborts: u64,
-    max_ns: u64,
-    sum_ns: u64,
-    hist: Histogram,
-}
-
-/// A worker's not-yet-flushed flight-recorder chunk. Measurements
-/// batch locally and flush every [`FLUSH_EVERY`] operations, so
-/// windowed sampling costs a few atomic adds per chunk rather than
-/// per operation.
-struct WindowAcc {
-    completed: u64,
-    failed: u64,
-    aborts: u64,
-    busy_ns: u64,
-    lat_sum_ns: u64,
-    hist: Histogram,
-}
-
-/// Operations per chunk flush — small against even a 1 ms window at
-/// realistic throughputs, so windows stay sharp.
+/// Operations per window-chunk flush — small against even a 1 ms window
+/// at realistic throughputs, so windows stay sharp.
 const FLUSH_EVERY: u64 = 64;
-
-impl WindowAcc {
-    fn new() -> Self {
-        WindowAcc {
-            completed: 0,
-            failed: 0,
-            aborts: 0,
-            busy_ns: 0,
-            lat_sum_ns: 0,
-            hist: Histogram::micros(),
-        }
-    }
-
-    fn flush(&mut self, flight: &FlightRecorder, window_lat: &Mutex<Histogram>) {
-        if self.completed == 0 && self.aborts == 0 {
-            return;
-        }
-        flight.add_ops(self.completed, self.failed, self.aborts);
-        flight.add_busy_ns(self.busy_ns);
-        flight.add_latency_us(self.lat_sum_ns / 1_000, self.hist.samples());
-        window_lat
-            .lock()
-            .expect("window histogram poisoned")
-            .merge(&self.hist);
-        *self = WindowAcc::new();
-    }
-}
 
 struct Runner<'c> {
     op: OpKind,
@@ -184,51 +132,25 @@ pub fn run_benchmark<B: Backend>(
 
     let stop = AtomicBool::new(false);
     let started_at = Instant::now();
-    let stm_before = backend.stm_stats();
-    let contention_before = backend.contention();
+    let counters = BackendCounters::read(backend);
+    // Workers chunk-flush into the flight recorder; the closed loop has
+    // no admission queue, so the depth gauge reads zero.
+    let flight = Flight::new(cfg.window_ms);
 
-    // Flight recorder: workers chunk-flush their measurements into it,
-    // a scoped sampler thread cuts windows. The closed loop has no
-    // admission queue, so the depth gauge reads zero.
-    let flight = match cfg.window_ms {
-        Some(ms) => FlightRecorder::new(ms),
-        None => FlightRecorder::off(),
-    };
-    let window_lat = Mutex::new(Histogram::micros());
-    let depth_probe = || 0u64;
-    let latency_probe = || {
-        let window = std::mem::replace(
-            &mut *window_lat.lock().expect("window histogram poisoned"),
-            Histogram::micros(),
-        );
-        window.latency_cut()
-    };
-    let contention_probe = || backend.contention();
-
-    let all_stats: Vec<Vec<ThreadOpStats>> = std::thread::scope(|scope| {
-        if flight.enabled() {
-            let flight = &flight;
-            let probes = FlightProbes {
-                queue_depth: &depth_probe,
-                latency_cut: &latency_probe,
-                contention: &contention_probe,
-            };
-            scope.spawn(move || flight.run_sampler(probes));
-        }
+    let ledgers: Vec<Vec<OpReport>> = std::thread::scope(|scope| {
+        flight.spawn_sampler(scope, || 0, || backend.contention());
         let mut handles = Vec::with_capacity(cfg.threads);
         for thread_id in 0..cfg.threads {
             let mix = &mix;
             let specs = &specs;
             let stop = &stop;
             let flight = &flight;
-            let window_lat = &window_lat;
             handles.push(scope.spawn(move || {
                 let mut ctx = OpCtx::new(
                     params.clone(),
                     cfg.seed ^ (thread_id as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15),
                 );
-                let mut stats: Vec<ThreadOpStats> =
-                    (0..45).map(|_| ThreadOpStats::default()).collect();
+                let mut ledger = op_ledger(mix);
                 let deadline = match cfg.mode {
                     RunMode::Timed(d) => Some(Instant::now() + d),
                     RunMode::FixedOps(_) => None,
@@ -238,36 +160,30 @@ pub fn run_benchmark<B: Backend>(
                     RunMode::Timed(_) => u64::MAX,
                 };
                 let mut executed = 0u64;
-                let windowed = flight.enabled();
-                let mut win = WindowAcc::new();
+                let mut win = flight.acc();
                 while executed < budget {
                     if let Some(deadline) = deadline {
                         if Instant::now() >= deadline || stop.load(Ordering::Relaxed) {
                             break;
                         }
                     }
-                    // Sampling dispatch profiler: 1-in-N iterations get a
-                    // "discovery" phase span around pick + spec narrowing.
-                    let sampled = cfg.recorder.sampled();
-                    let td = if sampled { cfg.recorder.now_ns() } else { 0 };
                     let op = mix.pick(&mut ctx.rng);
+                    let i = op.index();
                     // Per-instance spec: narrow the atomic shard set when
                     // the operation's footprint is known from its pre-drawn
                     // ids (sharded structures only; see `shard_hint`).
-                    let mut spec = specs[op.index()];
+                    let mut spec = specs[i];
                     if let Some(hint) = shard_hint(op, &ctx) {
                         spec.atomic_shards = hint;
-                    }
-                    if sampled {
-                        cfg.recorder
-                            .span(Layer::Engine, EventKind::Phase, "discovery", td, 0);
                     }
                     let trace_t0 = cfg.recorder.now_ns();
                     let t0 = Instant::now();
                     let mut runner = Runner::new(op, &mut ctx);
                     let outcome = backend.execute(&spec, &mut runner);
                     let attempts = runner.attempts;
+                    let aborts = attempts.saturating_sub(1);
                     let dt = t0.elapsed().as_nanos() as u64;
+                    let done = matches!(outcome, OpOutcome::Done(_));
                     if cfg.recorder.is_enabled() {
                         cfg.recorder.push(
                             Layer::Engine,
@@ -277,89 +193,43 @@ pub fn run_benchmark<B: Backend>(
                             dt,
                             attempts,
                         );
-                        if matches!(outcome, OpOutcome::Fail(_)) {
+                        if !done {
                             cfg.recorder
                                 .instant(Layer::Engine, EventKind::OpFail, op.name(), 0);
                         }
                     }
-                    if windowed {
-                        win.completed += 1;
-                        win.aborts += attempts.saturating_sub(1);
-                        win.busy_ns += dt;
-                        match &outcome {
-                            OpOutcome::Done(_) => {
-                                win.lat_sum_ns += dt;
-                                win.hist.record(dt);
-                            }
-                            OpOutcome::Fail(_) => win.failed += 1,
-                        }
-                        if win.completed >= FLUSH_EVERY {
-                            win.flush(flight, window_lat);
+                    if win.enabled() {
+                        win.execution(dt, aborts);
+                        win.answer(!done, dt);
+                        if win.pending() >= FLUSH_EVERY {
+                            win.flush();
                         }
                     }
-                    let s = &mut stats[op.index()];
-                    s.aborts += attempts.saturating_sub(1);
-                    match outcome {
-                        OpOutcome::Done(_) => {
-                            s.completed += 1;
-                            s.max_ns = s.max_ns.max(dt);
-                            s.sum_ns += dt;
-                            if cfg.histograms {
-                                s.hist.record(dt);
-                            }
-                        }
-                        OpOutcome::Fail(_) => s.failed += 1,
-                    }
+                    ledger[i].aborts += aborts;
+                    ledger[i].record(done, dt, cfg.histograms);
                     executed += 1;
                 }
-                if windowed {
-                    win.flush(flight, window_lat);
-                }
+                win.flush();
                 stop.store(true, Ordering::Relaxed);
-                stats
+                ledger
             }));
         }
-        let stats = handles
+        let ledgers = handles
             .into_iter()
             .map(|h| h.join().expect("benchmark thread panicked"))
             .collect();
         // Cut the final partial window and release the sampler before
         // the scope joins it.
         flight.stop();
-        stats
+        ledgers
     });
 
     let elapsed = started_at.elapsed();
-    let stm_after = backend.stm_stats();
-    let stm = match (stm_before, stm_after) {
-        (Some(before), Some(after)) => Some(after.delta(&before)),
-        _ => None,
-    };
-    let contention = match (contention_before, backend.contention()) {
-        (Some(before), Some(after)) => Some(after.delta(&before)),
-        _ => None,
-    };
-
-    let mut per_op: Vec<OpReport> = OpKind::ALL
-        .iter()
-        .map(|op| OpReport::empty(*op, mix.expected(*op)))
-        .collect();
-    for thread_stats in &all_stats {
-        for (i, s) in thread_stats.iter().enumerate() {
-            let r = &mut per_op[i];
-            r.completed += s.completed;
-            r.failed += s.failed;
-            r.aborts += s.aborts;
-            r.max_ns = r.max_ns.max(s.max_ns);
-            r.sum_ns += s.sum_ns;
-            r.hist.merge(&s.hist);
-        }
+    let BackendCounters { stm, contention } = counters.since(backend);
+    let mut per_op = op_ledger(&mix);
+    for ledger in &ledgers {
+        merge_ops(&mut per_op, ledger);
     }
-
-    let timeseries = flight.window_ms().map(|window_ms| Timeseries {
-        window_ms,
-        windows: flight.take_samples(),
-    });
 
     Report {
         backend: backend.name().to_string(),
@@ -373,7 +243,7 @@ pub fn run_benchmark<B: Backend>(
         stm,
         contention,
         service: None,
-        timeseries,
+        timeseries: flight.timeseries(),
     }
 }
 
@@ -453,7 +323,7 @@ mod tests {
         assert_eq!(completed, report.total_started());
         assert_eq!(failed, report.total_failed());
         let samples: u64 = ts.windows.iter().map(|w| w.latency.samples).sum();
-        assert_eq!(samples, report.total_completed());
+        assert_eq!(samples, report.total_started());
 
         // And the same run unsampled carries no timeseries.
         cfg.window_ms = None;

@@ -153,21 +153,11 @@ impl JsonValue {
     }
 }
 
+/// A quoted JSON string: the escaping is obs's, shared with the trace
+/// exporter.
 fn write_escaped(out: &mut String, s: &str) {
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
+    stmbench7_obs::write_json_escaped(out, s);
     out.push('"');
 }
 

@@ -7,6 +7,9 @@
 //! * [`workload`] — the ratio solver implementing Table 2 semantics and
 //!   the operation filter used by the §5 experiments;
 //! * [`engine`] — the multi-threaded driver (duration- or count-bounded);
+//! * [`ledger`] — run accounting every harness shares: per-thread
+//!   operation rows and their merge, the windowed-telemetry accumulator,
+//!   the backend counter deltas;
 //! * [`histogram`] — TTC histograms;
 //! * [`report`] — Appendix-A-format output plus CSV for the bench
 //!   harness;
@@ -18,6 +21,7 @@
 pub mod engine;
 pub mod histogram;
 pub mod json;
+pub mod ledger;
 pub mod ops;
 pub mod report;
 pub mod workload;
@@ -25,6 +29,7 @@ pub mod workload;
 pub use engine::{run_benchmark, BenchConfig, RunMode};
 pub use histogram::{Histogram, Resolution};
 pub use json::JsonValue;
+pub use ledger::{merge_ops, op_ledger, BackendCounters, Flight, WindowAcc};
 pub use ops::{access_spec, primary_shard, run_op, Category, OpCtx, OpKind};
 pub use report::{CategoryLatency, OpReport, Report, SampleError, ServiceStats, Timeseries};
 pub use workload::{OpFilter, WorkloadMix, WorkloadType};

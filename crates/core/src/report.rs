@@ -52,6 +52,34 @@ impl OpReport {
         }
     }
 
+    /// Counts one answered execution: a completion (`done`) with its
+    /// latency, or a benign failure. The TTC histogram is fed only when
+    /// `histogram` is set.
+    #[inline]
+    pub fn record(&mut self, done: bool, latency_ns: u64, histogram: bool) {
+        if done {
+            self.completed += 1;
+            self.max_ns = self.max_ns.max(latency_ns);
+            self.sum_ns += latency_ns;
+            if histogram {
+                self.hist.record(latency_ns);
+            }
+        } else {
+            self.failed += 1;
+        }
+    }
+
+    /// Folds another thread's row for the same operation in.
+    pub fn merge(&mut self, other: &OpReport) {
+        debug_assert_eq!(self.op, other.op, "rows of different operations");
+        self.completed += other.completed;
+        self.failed += other.failed;
+        self.aborts += other.aborts;
+        self.max_ns = self.max_ns.max(other.max_ns);
+        self.sum_ns += other.sum_ns;
+        self.hist.merge(&other.hist);
+    }
+
     /// Operations started (completed or failed).
     pub fn started(&self) -> u64 {
         self.completed + self.failed
@@ -202,7 +230,86 @@ pub struct ServiceStats {
     pub per_category: Vec<CategoryLatency>,
 }
 
+/// An empty ledger: zero counters, empty microsecond lanes, no network
+/// lane, one empty split per category. Harnesses fill in the header
+/// fields (schedule, workers, queue cap, batch, affinity).
+impl Default for ServiceStats {
+    fn default() -> Self {
+        ServiceStats {
+            schedule: String::new(),
+            workers: 0,
+            queue_cap: 0,
+            batch_max: 1,
+            affinity: String::new(),
+            offered: 0,
+            rejected: 0,
+            reconnects: 0,
+            busy_ns: 0,
+            idle_ns: 0,
+            worker_busy_ns: Vec::new(),
+            trace_dropped: 0,
+            batches: 0,
+            write_batches: 0,
+            max_write_batch: 0,
+            steals: 0,
+            queue_wait: Histogram::micros(),
+            service_time: Histogram::micros(),
+            e2e: Histogram::micros(),
+            network: None,
+            per_category: CategoryLatency::all_empty(),
+        }
+    }
+}
+
 impl ServiceStats {
+    /// Counts one answered request's latency split into the aggregate
+    /// lanes and its category's lanes.
+    #[inline]
+    pub fn record(&mut self, category: Category, queue_ns: u64, service_ns: u64, e2e_ns: u64) {
+        self.queue_wait.record(queue_ns);
+        self.service_time.record(service_ns);
+        self.e2e.record(e2e_ns);
+        let cat = &mut self.per_category[category.index()];
+        cat.queue_wait.record(queue_ns);
+        cat.service_time.record(service_ns);
+    }
+
+    /// Folds another thread's or repetition's stats in. Counters sum;
+    /// `max_write_batch` takes the max, and so does `trace_dropped`: the
+    /// repetitions of a lab cell share one recorder, so each value is
+    /// already cumulative. `network` is kept when either side carries
+    /// one, `per_category` merges positionally and `worker_busy_ns`
+    /// element-wise. The header fields keep `self`'s values.
+    pub fn merge(&mut self, other: &ServiceStats) {
+        self.offered += other.offered;
+        self.rejected += other.rejected;
+        self.reconnects += other.reconnects;
+        self.busy_ns += other.busy_ns;
+        self.idle_ns += other.idle_ns;
+        if self.worker_busy_ns.len() < other.worker_busy_ns.len() {
+            self.worker_busy_ns.resize(other.worker_busy_ns.len(), 0);
+        }
+        for (mine, theirs) in self.worker_busy_ns.iter_mut().zip(&other.worker_busy_ns) {
+            *mine += theirs;
+        }
+        self.trace_dropped = self.trace_dropped.max(other.trace_dropped);
+        self.batches += other.batches;
+        self.write_batches += other.write_batches;
+        self.max_write_batch = self.max_write_batch.max(other.max_write_batch);
+        self.steals += other.steals;
+        self.queue_wait.merge(&other.queue_wait);
+        self.service_time.merge(&other.service_time);
+        self.e2e.merge(&other.e2e);
+        if let Some(network) = &other.network {
+            self.network
+                .get_or_insert_with(Histogram::micros)
+                .merge(network);
+        }
+        for (mine, theirs) in self.per_category.iter_mut().zip(&other.per_category) {
+            mine.merge(theirs);
+        }
+    }
+
     /// `(p50, p95, p99)` of a latency histogram, in microseconds.
     pub fn percentiles_us(hist: &Histogram) -> (u64, u64, u64) {
         (
@@ -1038,6 +1145,96 @@ mod tests {
             assert!(p50 <= p99, "{key}: p50 {p50} > p99 {p99}");
             assert_eq!(lat.get("samples").and_then(JsonValue::as_u64), Some(3));
         }
+    }
+
+    #[test]
+    fn service_stats_merge_sums_counters_and_merges_lanes() {
+        let mut a = sample_service_stats();
+        let mut b = sample_service_stats();
+        b.offered = 50;
+        b.rejected = 1;
+        b.reconnects = 2;
+        b.max_write_batch = 9;
+        b.trace_dropped = 5;
+        a.trace_dropped = 3;
+        b.worker_busy_ns = vec![10, 20, 30];
+        b.schedule = "other".into();
+        let mut network = Histogram::micros();
+        network.record(12_000);
+        b.network = Some(network);
+        a.merge(&b);
+
+        assert_eq!(a.offered, 150);
+        assert_eq!(a.rejected, 3);
+        assert_eq!(a.reconnects, 2);
+        assert_eq!(a.busy_ns, 3_000_000_000);
+        assert_eq!(a.idle_ns, 1_000_000_000);
+        assert_eq!(a.batches, 80);
+        assert_eq!(a.write_batches, 8);
+        assert_eq!(a.max_write_batch, 9, "max, not sum");
+        assert_eq!(a.trace_dropped, 5, "cumulative per rep: max, not sum");
+        assert_eq!(a.schedule, "open2000", "header fields keep self's");
+        assert_eq!(a.e2e.samples(), 6);
+        assert_eq!(a.queue_wait.samples(), 6);
+        assert_eq!(
+            a.worker_busy_ns,
+            vec![1_000_000_010, 500_000_020, 30],
+            "element-wise, growing to the longer side"
+        );
+        assert_eq!(a.per_category[0].queue_wait.samples(), 4, "positional");
+        assert_eq!(a.per_category[0].service_time.samples(), 4);
+        assert_eq!(a.per_category[1].queue_wait.samples(), 0);
+        assert_eq!(
+            a.network.as_ref().map(Histogram::samples),
+            Some(1),
+            "a network lane survives when one input carried it"
+        );
+
+        let mut plain = sample_service_stats();
+        plain.merge(&sample_service_stats());
+        assert!(plain.network.is_none(), "no input carried a network lane");
+        let mut empty = ServiceStats::default();
+        empty.merge(&sample_service_stats());
+        assert_eq!(empty.offered, 100);
+        assert_eq!(empty.worker_busy_ns, vec![1_000_000_000, 500_000_000]);
+    }
+
+    #[test]
+    fn service_stats_record_feeds_the_aggregate_and_category_lanes() {
+        let mut svc = ServiceStats::default();
+        svc.record(Category::ShortOperation, 1_000, 20_000, 25_000);
+        svc.record(Category::ShortOperation, 3_000, 40_000, 45_000);
+        svc.record(Category::LongTraversal, 9_000, 900_000, 910_000);
+        assert_eq!(svc.queue_wait.samples(), 3);
+        assert_eq!(svc.service_time.samples(), 3);
+        assert_eq!(svc.e2e.samples(), 3);
+        let lane = |cat: Category| &svc.per_category[cat.index()];
+        assert_eq!(lane(Category::ShortOperation).queue_wait.samples(), 2);
+        assert_eq!(lane(Category::ShortOperation).service_time.samples(), 2);
+        assert_eq!(lane(Category::LongTraversal).service_time.samples(), 1);
+        assert_eq!(lane(Category::ShortTraversal).queue_wait.samples(), 0);
+        assert_eq!(ServiceStats::percentiles_us(&svc.e2e).2, 1_023);
+    }
+
+    #[test]
+    fn op_report_records_and_merges() {
+        let mut a = OpReport::empty(OpKind::T1, 0.5);
+        a.record(true, 3_000_000, true);
+        a.record(false, 9_000_000, true);
+        a.record(true, 1_000_000, false);
+        assert_eq!((a.completed, a.failed), (2, 1));
+        assert_eq!(a.max_ns, 3_000_000, "failures carry no latency");
+        assert_eq!(a.sum_ns, 4_000_000);
+        assert_eq!(a.hist.samples(), 1, "histogram only when asked");
+        let mut b = OpReport::empty(OpKind::T1, 0.0);
+        b.record(true, 7_000_000, true);
+        b.aborts = 4;
+        a.merge(&b);
+        assert_eq!((a.completed, a.failed, a.aborts), (3, 1, 4));
+        assert_eq!(a.max_ns, 7_000_000);
+        assert_eq!(a.sum_ns, 11_000_000);
+        assert_eq!(a.hist.samples(), 2);
+        assert_eq!(a.expected_ratio, 0.5, "the configured ratio stays");
     }
 
     #[test]

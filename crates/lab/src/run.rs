@@ -4,9 +4,7 @@
 //! serializes to the versioned `results/BENCH_<spec>.json` document.
 
 use stmbench7_backend::AnyBackend;
-use stmbench7_core::{
-    run_benchmark, CategoryLatency, Histogram, JsonValue, Report, ServiceStats, Timeseries,
-};
+use stmbench7_core::{run_benchmark, JsonValue, Report, ServiceStats, Timeseries};
 use stmbench7_data::Workspace;
 use stmbench7_obs::{ContentionSnapshot, Recorder, Trace};
 
@@ -102,9 +100,10 @@ pub struct CellResult {
     /// repetitions (max_ms is the max across them).
     pub categories: Vec<(String, u64, u64, f64)>,
     pub reps: Vec<RepResult>,
-    /// Latency decomposition, present for service cells: histograms
-    /// merged across repetitions, counters summed.
-    pub service: Option<ServiceAgg>,
+    /// Latency decomposition, present for service cells: the
+    /// repetitions' [`ServiceStats`] merged (see [`ServiceStats::merge`];
+    /// net cells carry the client side, `network` lane included).
+    pub service: Option<ServiceStats>,
     /// Always-on contention counters summed over repetitions (`None`
     /// for backends that keep none).
     pub contention: Option<ContentionSnapshot>,
@@ -119,82 +118,39 @@ pub struct CellResult {
     pub timeseries: Vec<Timeseries>,
 }
 
-/// Service-cell measurements aggregated across repetitions (also the
-/// client-side aggregate of net cells, whose `network` lane is present).
-#[derive(Clone, Debug)]
-pub struct ServiceAgg {
-    pub offered: u64,
-    pub rejected: u64,
-    /// Worker-affinity routing key of the repetitions (`none` or
-    /// `shard`; also encoded in the cell key's `/affS` suffix).
-    pub affinity: String,
-    /// Broken connections the net driver re-established, summed across
-    /// repetitions (always 0 for in-process service cells).
-    pub reconnects: u64,
-    /// Worker busy/idle time summed across workers and repetitions.
-    pub busy_ns: u64,
-    pub idle_ns: u64,
-    /// Trace-ring drops summed across repetitions (0 when untraced).
-    pub trace_dropped: u64,
-    pub batches: u64,
-    /// Multi-request batches with at least one writer, summed across
-    /// repetitions (group commit; 0 when batching is off).
-    pub write_batches: u64,
-    /// Largest group-committed write batch across repetitions.
-    pub max_write_batch: u64,
-    /// Work-stealing pulls under shard affinity, summed across
-    /// repetitions (0 when affinity is off).
-    pub steals: u64,
-    pub queue_wait: Histogram,
-    pub service_time: Histogram,
-    pub e2e: Histogram,
-    /// Transport overhead lane; present exactly when every repetition
-    /// crossed a wire.
-    pub network: Option<Histogram>,
-    /// Per-category queue-wait/service-time split, merged across
-    /// repetitions.
-    pub per_category: Vec<CategoryLatency>,
-}
+/// The keys of a cell's `service` object, in document order: the
+/// rep-merged [`ServiceStats`] minus its per-run header (schedule,
+/// workers, queue cap, batch size, per-worker busy time).
+const CELL_SERVICE_KEYS: [&str; 16] = [
+    "offered",
+    "rejected",
+    "affinity",
+    "reconnects",
+    "busy_ns",
+    "idle_ns",
+    "trace_dropped",
+    "batches",
+    "write_batches",
+    "max_write_batch",
+    "steals",
+    "queue_wait_us",
+    "service_time_us",
+    "e2e_us",
+    "network_us",
+    "categories",
+];
 
-impl ServiceAgg {
-    fn to_json(&self) -> JsonValue {
-        JsonValue::obj(vec![
-            ("offered", JsonValue::num(self.offered as f64)),
-            ("rejected", JsonValue::num(self.rejected as f64)),
-            ("affinity", JsonValue::str(&self.affinity)),
-            ("reconnects", JsonValue::num(self.reconnects as f64)),
-            ("busy_ns", JsonValue::num(self.busy_ns as f64)),
-            ("idle_ns", JsonValue::num(self.idle_ns as f64)),
-            ("trace_dropped", JsonValue::num(self.trace_dropped as f64)),
-            ("batches", JsonValue::num(self.batches as f64)),
-            ("write_batches", JsonValue::num(self.write_batches as f64)),
-            (
-                "max_write_batch",
-                JsonValue::num(self.max_write_batch as f64),
-            ),
-            ("steals", JsonValue::num(self.steals as f64)),
-            (
-                "queue_wait_us",
-                ServiceStats::latency_json(&self.queue_wait),
-            ),
-            (
-                "service_time_us",
-                ServiceStats::latency_json(&self.service_time),
-            ),
-            ("e2e_us", ServiceStats::latency_json(&self.e2e)),
-            (
-                "network_us",
-                match &self.network {
-                    None => JsonValue::Null,
-                    Some(h) => ServiceStats::latency_json(h),
-                },
-            ),
-            (
-                "categories",
-                ServiceStats::categories_json(&self.per_category),
-            ),
-        ])
-    }
+fn cell_service_json(svc: &ServiceStats) -> JsonValue {
+    let full = svc.to_json_value();
+    JsonValue::obj(
+        CELL_SERVICE_KEYS
+            .iter()
+            .map(|key| {
+                let value = full.get(key).expect("ServiceStats serializes every key");
+                (*key, value.clone())
+            })
+            .collect(),
+    )
 }
 
 impl CellResult {
@@ -284,7 +240,7 @@ impl CellResult {
                 "service",
                 match &self.service {
                     None => JsonValue::Null,
-                    Some(agg) => agg.to_json(),
+                    Some(svc) => cell_service_json(svc),
                 },
             ),
             (
@@ -552,52 +508,19 @@ fn aggregate(cell: &Cell, reports: &[Report], trace: Option<Trace>) -> CellResul
         }
         categories.push((cat.name().to_string(), completed, failed, max_ms));
     }
-    let per_rep_service: Vec<&stmbench7_core::ServiceStats> =
-        reports.iter().filter_map(|r| r.service.as_ref()).collect();
-    let service = (per_rep_service.len() == reports.len() && !reports.is_empty()).then(|| {
-        let mut agg = ServiceAgg {
-            offered: 0,
-            rejected: 0,
-            affinity: per_rep_service[0].affinity.clone(),
-            reconnects: 0,
-            busy_ns: 0,
-            idle_ns: 0,
-            trace_dropped: 0,
-            batches: 0,
-            write_batches: 0,
-            max_write_batch: 0,
-            steals: 0,
-            queue_wait: Histogram::micros(),
-            service_time: Histogram::micros(),
-            e2e: Histogram::micros(),
-            network: None,
-            per_category: CategoryLatency::all_empty(),
-        };
-        for svc in per_rep_service {
-            agg.offered += svc.offered;
-            agg.rejected += svc.rejected;
-            agg.reconnects += svc.reconnects;
-            agg.busy_ns += svc.busy_ns;
-            agg.idle_ns += svc.idle_ns;
-            agg.trace_dropped = agg.trace_dropped.max(svc.trace_dropped);
-            agg.batches += svc.batches;
-            agg.write_batches += svc.write_batches;
-            agg.max_write_batch = agg.max_write_batch.max(svc.max_write_batch);
-            agg.steals += svc.steals;
-            agg.queue_wait.merge(&svc.queue_wait);
-            agg.service_time.merge(&svc.service_time);
-            agg.e2e.merge(&svc.e2e);
-            if let Some(network) = &svc.network {
-                agg.network
-                    .get_or_insert_with(Histogram::micros)
-                    .merge(network);
+    // A service aggregate only when every repetition was served.
+    let service = reports
+        .iter()
+        .map(|r| r.service.as_ref())
+        .collect::<Option<Vec<_>>>()
+        .and_then(|reps| {
+            let (first, rest) = reps.split_first()?;
+            let mut merged = (*first).clone();
+            for svc in rest {
+                merged.merge(svc);
             }
-            for (merged, rep) in agg.per_category.iter_mut().zip(&svc.per_category) {
-                merged.merge(rep);
-            }
-        }
-        agg
-    });
+            Some(merged)
+        });
     CellResult {
         cell: cell.clone(),
         backend_label: reports
@@ -711,6 +634,32 @@ mod tests {
         );
         let svc = json_cell.get("service").expect("service object");
         assert_eq!(svc.get("offered").and_then(JsonValue::as_u64), Some(600));
+        let JsonValue::Obj(pairs) = svc else {
+            panic!("service is an object")
+        };
+        let keys: Vec<&str> = pairs.iter().map(|(k, _)| k.as_str()).collect();
+        assert_eq!(
+            keys,
+            [
+                "offered",
+                "rejected",
+                "affinity",
+                "reconnects",
+                "busy_ns",
+                "idle_ns",
+                "trace_dropped",
+                "batches",
+                "write_batches",
+                "max_write_batch",
+                "steals",
+                "queue_wait_us",
+                "service_time_us",
+                "e2e_us",
+                "network_us",
+                "categories",
+            ],
+            "the stmbench7-lab/7 cell service schema"
+        );
         for key in ["queue_wait_us", "service_time_us", "e2e_us"] {
             assert!(
                 svc.get(key).and_then(|l| l.get("p99")).is_some(),

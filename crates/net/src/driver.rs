@@ -19,7 +19,7 @@ use std::sync::{Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use stmbench7_core::{
-    CategoryLatency, Histogram, OpFilter, OpKind, OpReport, Report, ServiceStats, WorkloadMix,
+    merge_ops, op_ledger, Histogram, OpFilter, OpKind, OpReport, Report, ServiceStats, WorkloadMix,
     WorkloadType,
 };
 use stmbench7_service::{Request, Schedule};
@@ -95,39 +95,23 @@ pub struct DriveResult {
     pub outcomes: Vec<Option<WireOutcome>>,
 }
 
-/// Client-side accounting of one connection.
+/// Client-side ledger of one connection: round-trip rows per operation,
+/// the three-lane latency split (its `rejected` and `reconnects`
+/// counters included), and the outcomes as they crossed the wire.
 struct ConnStats {
-    completed: Vec<u64>,
-    failed: Vec<u64>,
-    max_ns: Vec<u64>,
-    sum_ns: Vec<u64>,
-    hist: Vec<Histogram>,
-    queue_wait: Histogram,
-    service_time: Histogram,
-    e2e: Histogram,
-    network: Histogram,
-    per_category: Vec<CategoryLatency>,
-    rejected: u64,
-    /// Times this connection was re-established after a mid-drive break.
-    reconnects: u64,
+    ops: Vec<OpReport>,
+    svc: ServiceStats,
     outcomes: Vec<(u64, WireOutcome)>,
 }
 
 impl ConnStats {
-    fn new() -> Self {
+    fn new(mix: &WorkloadMix) -> Self {
         ConnStats {
-            completed: vec![0; 45],
-            failed: vec![0; 45],
-            max_ns: vec![0; 45],
-            sum_ns: vec![0; 45],
-            hist: (0..45).map(|_| Histogram::new()).collect(),
-            queue_wait: Histogram::micros(),
-            service_time: Histogram::micros(),
-            e2e: Histogram::micros(),
-            network: Histogram::micros(),
-            per_category: CategoryLatency::all_empty(),
-            rejected: 0,
-            reconnects: 0,
+            ops: op_ledger(mix),
+            svc: ServiceStats {
+                network: Some(Histogram::micros()),
+                ..ServiceStats::default()
+            },
             outcomes: Vec::new(),
         }
     }
@@ -140,38 +124,32 @@ impl ConnStats {
         recv_ns: u64,
         resp: &wire::NetResponse,
     ) {
-        match &resp.outcome {
+        self.outcomes.push((resp.id, resp.outcome.clone()));
+        let done = match &resp.outcome {
+            // Never executed: counted, but no latency to decompose.
             WireOutcome::Rejected => {
-                // Never executed: counted, but no latency to decompose.
-                self.rejected += 1;
-                self.outcomes.push((resp.id, resp.outcome.clone()));
+                self.svc.rejected += 1;
                 return;
             }
-            WireOutcome::Done(_) => {
-                let i = op.index();
-                let rtt_ns = recv_ns.saturating_sub(send_ns);
-                self.completed[i] += 1;
-                self.max_ns[i] = self.max_ns[i].max(rtt_ns);
-                self.sum_ns[i] += rtt_ns;
-                self.hist[i].record(rtt_ns);
-            }
-            WireOutcome::Fail(_) => self.failed[op.index()] += 1,
-        }
-        let client_queue_ns = send_ns.saturating_sub(arrival_ns);
+            WireOutcome::Done(_) => true,
+            WireOutcome::Fail(_) => false,
+        };
         let rtt_ns = recv_ns.saturating_sub(send_ns);
+        self.ops[op.index()].record(done, rtt_ns, true);
+        self.svc.record(
+            op.category(),
+            send_ns.saturating_sub(arrival_ns),
+            resp.service_ns,
+            recv_ns.saturating_sub(arrival_ns),
+        );
         // The transport's share: everything between send and receive the
         // server does not account for (syscalls, the loopback or real
         // network, frame codec). Server-side queueing is deliberately
         // excluded — it shows up in the server's own report.
         let network_ns = rtt_ns.saturating_sub(resp.queue_ns.saturating_add(resp.service_ns));
-        self.queue_wait.record(client_queue_ns);
-        self.service_time.record(resp.service_ns);
-        self.network.record(network_ns);
-        self.e2e.record(recv_ns.saturating_sub(arrival_ns));
-        let cat = &mut self.per_category[op.category().index()];
-        cat.queue_wait.record(client_queue_ns);
-        cat.service_time.record(resp.service_ns);
-        self.outcomes.push((resp.id, resp.outcome.clone()));
+        if let Some(network) = &mut self.svc.network {
+            network.record(network_ns);
+        }
     }
 }
 
@@ -261,8 +239,9 @@ pub fn drive(
         let mut sessions = Vec::with_capacity(cfg.connections);
         for (slice, stream) in slices.iter().zip(streams) {
             let send_ns = &send_ns;
+            let stats = ConnStats::new(&mix);
             sessions.push(scope.spawn(move || -> io::Result<ConnStats> {
-                run_connection(addr, cfg.inflight, epoch, slice, stream, send_ns)
+                run_connection(addr, cfg.inflight, epoch, slice, stream, send_ns, stats)
             }));
         }
         sessions
@@ -286,8 +265,8 @@ fn run_connection(
     slice: &[Request],
     first: TcpStream,
     send_ns: &[AtomicU64],
+    mut stats: ConnStats,
 ) -> io::Result<ConnStats> {
-    let mut stats = ConnStats::new();
     let mut answered = vec![false; slice.len()];
     let pos_of: HashMap<u64, usize> = slice.iter().enumerate().map(|(k, r)| (r.id, k)).collect();
     let mut stream = Some(first);
@@ -325,11 +304,12 @@ fn run_connection(
 /// propagates the error once the budget is spent (or the error is not
 /// transport-shaped).
 fn back_off_or_bail(stats: &mut ConnStats, e: io::Error) -> io::Result<()> {
-    if !retryable(&e) || stats.reconnects >= RECONNECT_MAX {
+    let reconnects = &mut stats.svc.reconnects;
+    if !retryable(&e) || *reconnects >= RECONNECT_MAX {
         return Err(e);
     }
-    stats.reconnects += 1;
-    let exp = (stats.reconnects - 1).min(5) as u32;
+    *reconnects += 1;
+    let exp = (*reconnects - 1).min(5) as u32;
     std::thread::sleep((BACKOFF_START * 2u32.pow(exp)).min(BACKOFF_CAP));
     Ok(())
 }
@@ -480,40 +460,26 @@ fn merge(
     elapsed: Duration,
     all_stats: Vec<ConnStats>,
 ) -> DriveResult {
-    let mut per_op: Vec<OpReport> = OpKind::ALL
-        .iter()
-        .map(|op| OpReport::empty(*op, mix.expected(*op)))
-        .collect();
-    let mut queue_wait = Histogram::micros();
-    let mut service_time = Histogram::micros();
-    let mut e2e = Histogram::micros();
-    let mut network = Histogram::micros();
-    let mut per_category = CategoryLatency::all_empty();
-    let mut rejected = 0;
-    let mut reconnects = 0;
+    let mut per_op = op_ledger(mix);
+    // The client's "workers" are its connections; it has no bounded
+    // queue or batching of its own (cap 0, batch 1).
+    let mut svc = ServiceStats {
+        schedule: cfg.schedule.key(),
+        workers: cfg.connections,
+        affinity: "none".to_string(),
+        offered: requests.len() as u64,
+        network: Some(Histogram::micros()),
+        ..ServiceStats::default()
+    };
     let mut outcomes: Vec<Option<WireOutcome>> = vec![None; requests.len()];
     for stats in &all_stats {
-        for (i, r) in per_op.iter_mut().enumerate() {
-            r.completed += stats.completed[i];
-            r.failed += stats.failed[i];
-            r.max_ns = r.max_ns.max(stats.max_ns[i]);
-            r.sum_ns += stats.sum_ns[i];
-            r.hist.merge(&stats.hist[i]);
-        }
-        queue_wait.merge(&stats.queue_wait);
-        service_time.merge(&stats.service_time);
-        e2e.merge(&stats.e2e);
-        network.merge(&stats.network);
-        for (merged, conn) in per_category.iter_mut().zip(&stats.per_category) {
-            merged.merge(conn);
-        }
-        rejected += stats.rejected;
-        reconnects += stats.reconnects;
+        merge_ops(&mut per_op, &stats.ops);
+        svc.merge(&stats.svc);
         for (id, outcome) in &stats.outcomes {
             outcomes[*id as usize] = Some(outcome.clone());
         }
     }
-    let executed = queue_wait.samples();
+    svc.batches = svc.queue_wait.samples();
     let report = Report {
         backend: "net".to_string(),
         threads: cfg.connections,
@@ -525,32 +491,66 @@ fn merge(
         per_op,
         stm: None,
         contention: None,
-        service: Some(ServiceStats {
-            schedule: cfg.schedule.key(),
-            // The client's "workers" are its connections; it has no
-            // bounded queue or batching of its own (cap 0, batch 1).
-            workers: cfg.connections,
-            queue_cap: 0,
-            batch_max: 1,
-            affinity: "none".to_string(),
-            offered: requests.len() as u64,
-            rejected,
-            reconnects,
-            busy_ns: 0,
-            idle_ns: 0,
-            worker_busy_ns: Vec::new(),
-            trace_dropped: 0,
-            batches: executed,
-            write_batches: 0,
-            max_write_batch: 0,
-            steals: 0,
-            queue_wait,
-            service_time,
-            e2e,
-            network: Some(network),
-            per_category,
-        }),
+        service: Some(svc),
         timeseries: None,
     };
     DriveResult { report, outcomes }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::wire::NetResponse;
+    use stmbench7_core::Category;
+
+    fn response(id: u64, outcome: WireOutcome) -> NetResponse {
+        NetResponse {
+            id,
+            outcome,
+            queue_ns: 4_000,
+            service_ns: 10_000,
+        }
+    }
+
+    #[test]
+    fn conn_stats_split_a_round_trip_into_three_lanes() {
+        let cfg = DriveConfig::new(Schedule::Closed { clients: 1 }, WorkloadType::ReadWrite, 1);
+        let mut stats = ConnStats::new(&cfg.mix());
+        let op = OpKind::Op1;
+        // Due at 0, sent at 2 µs, answered at 50 µs: 48 µs round trip,
+        // of which the server accounts for 14 µs.
+        stats.record(op, 0, 2_000, 50_000, &response(0, WireOutcome::Done(7)));
+        stats.record(
+            op,
+            0,
+            2_000,
+            50_000,
+            &response(1, WireOutcome::Fail("x".into())),
+        );
+        stats.record(op, 0, 2_000, 50_000, &response(2, WireOutcome::Rejected));
+
+        let row = &stats.ops[op.index()];
+        assert_eq!((row.completed, row.failed), (1, 1));
+        assert_eq!(row.max_ns, 48_000, "per-op latency is the round trip");
+        assert_eq!(stats.svc.rejected, 1);
+        assert_eq!(stats.outcomes.len(), 3, "every response is an outcome");
+        assert_eq!(
+            stats.svc.queue_wait.samples(),
+            2,
+            "rejections carry no split"
+        );
+        let network = stats.svc.network.as_ref().expect("network lane");
+        assert_eq!(network.samples(), 2);
+        assert_eq!(
+            network.percentile_us(50.0),
+            Some(63),
+            "34 µs lands in 32..63"
+        );
+        assert_eq!(
+            stats.svc.per_category[Category::ShortOperation.index()]
+                .service_time
+                .samples(),
+            2
+        );
+    }
 }

@@ -77,9 +77,6 @@ pub enum EventKind {
     /// Span: a connection's write buffer was flushed; `arg` is the
     /// number of bytes written.
     NetFlush,
-    /// Span: one sampled dispatch-profiler phase (`name` is the phase:
-    /// `"discovery"`, `"lock-plan"`, `"execute"`, `"commit"`).
-    Phase,
 }
 
 impl EventKind {
@@ -95,7 +92,6 @@ impl EventKind {
             EventKind::QueueReject => "queue-reject",
             EventKind::FrameDecode => "frame-decode",
             EventKind::NetFlush => "net-flush",
-            EventKind::Phase => "phase",
         }
     }
 
@@ -103,12 +99,12 @@ impl EventKind {
     pub fn is_span(self) -> bool {
         matches!(
             self,
-            EventKind::Op | EventKind::LockWait | EventKind::NetFlush | EventKind::Phase
+            EventKind::Op | EventKind::LockWait | EventKind::NetFlush
         )
     }
 
     /// Every kind, in declaration order.
-    pub fn all() -> [EventKind; 10] {
+    pub fn all() -> [EventKind; 9] {
         [
             EventKind::Op,
             EventKind::OpFail,
@@ -119,7 +115,6 @@ impl EventKind {
             EventKind::QueueReject,
             EventKind::FrameDecode,
             EventKind::NetFlush,
-            EventKind::Phase,
         ]
     }
 
@@ -135,7 +130,7 @@ impl EventKind {
 pub struct Event {
     pub layer: Layer,
     pub kind: EventKind,
-    /// Display name (operation, lock, phase, …). `'static` keeps the
+    /// Display name (operation, lock, …). `'static` keeps the
     /// record `Copy`; every producer names events with string literals
     /// or `OpKind::name()`.
     pub name: &'static str,
@@ -177,7 +172,7 @@ mod tests {
     #[test]
     fn span_kinds_are_the_duration_carriers() {
         assert!(EventKind::Op.is_span());
-        assert!(EventKind::Phase.is_span());
+        assert!(EventKind::NetFlush.is_span());
         assert!(!EventKind::QueueAdmit.is_span());
         assert!(!EventKind::StmRetry.is_span());
     }

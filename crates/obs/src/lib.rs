@@ -19,9 +19,6 @@
 //! * [`ContentionCounters`] — always-on atomic counters a backend owns
 //!   (lock waits, CAS retries, shard conflicts) and snapshots into
 //!   reports; the contention column every lab spec gains for free.
-//! * A sampling gate ([`Recorder::sampled`]) behind which the engine
-//!   and backends time `run_op` dispatch phases (discovery /
-//!   lock-plan / execute / commit) as [`EventKind::Phase`] spans.
 //! * [`FlightRecorder`] — the windowed flight recorder: a sampler
 //!   thread cuts cumulative counters into per-window deltas
 //!   ([`WindowSample`]: throughput, latency percentiles, queue depth,

@@ -12,10 +12,10 @@
 //! guarantees by scoping its workers (`std::thread::scope`) inside the
 //! run that owns the recorder.
 
-use std::cell::{Cell, RefCell};
+use std::cell::RefCell;
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use crate::event::{Event, EventKind, Layer};
 use crate::ring::Ring;
@@ -24,9 +24,10 @@ use crate::ring::Ring;
 /// tracing, bounded at ~¾ MB of events per thread.
 pub const DEFAULT_RING_CAPACITY: usize = 16_384;
 
-/// Every `SAMPLE_PERIOD`-th operation on a thread passes the
-/// [`Recorder::sampled`] gate for dispatch-phase profiling.
-const SAMPLE_PERIOD: u32 = 32;
+/// How long [`Recorder::take_trace`] waits for exiting threads' lanes
+/// to flush; a lane still live after this belongs to a thread that is
+/// not exiting, and its events stay unflushed.
+const LANE_EXIT_GRACE: Duration = Duration::from_millis(100);
 
 #[derive(Debug)]
 struct Shared {
@@ -36,6 +37,10 @@ struct Shared {
     /// Rings flushed by exiting (or re-bound) lanes.
     spool: Mutex<Vec<Event>>,
     dropped: AtomicU64,
+    /// Lanes bound to this trace that have not flushed on drop yet. A
+    /// lane's drop decrements with `Release` after its flush, pairing
+    /// with the `Acquire` load in [`Recorder::take_trace`].
+    live_lanes: AtomicU32,
 }
 
 struct Lane {
@@ -60,12 +65,12 @@ impl Lane {
 impl Drop for Lane {
     fn drop(&mut self) {
         self.flush();
+        self.shared.live_lanes.fetch_sub(1, Ordering::Release);
     }
 }
 
 thread_local! {
     static LANE: RefCell<Option<Lane>> = const { RefCell::new(None) };
-    static SAMPLE_TICK: Cell<u32> = const { Cell::new(0) };
 }
 
 /// A finished trace: every recorded event merged across threads in
@@ -113,6 +118,7 @@ impl Recorder {
                 next_tid: AtomicU32::new(0),
                 spool: Mutex::new(Vec::new()),
                 dropped: AtomicU64::new(0),
+                live_lanes: AtomicU32::new(0),
             })),
         }
     }
@@ -134,20 +140,6 @@ impl Recorder {
             Some(s) => s.epoch.elapsed().as_nanos() as u64,
             None => 0,
         }
-    }
-
-    /// The sampling gate of the dispatch profiler: true for one in
-    /// `SAMPLE_PERIOD` (32) calls per thread, always false when disabled.
-    #[inline]
-    pub fn sampled(&self) -> bool {
-        if self.shared.is_none() {
-            return false;
-        }
-        SAMPLE_TICK.with(|tick| {
-            let n = tick.get().wrapping_add(1);
-            tick.set(n);
-            n % SAMPLE_PERIOD == 0
-        })
     }
 
     /// Records an instant event (no duration).
@@ -195,6 +187,7 @@ impl Recorder {
                     tid: shared.next_tid.fetch_add(1, Ordering::Relaxed),
                     ring: Ring::new(shared.ring_capacity),
                 });
+                shared.live_lanes.fetch_add(1, Ordering::Relaxed);
             }
             let lane = slot.as_mut().expect("lane bound above");
             let tid = lane.tid;
@@ -223,18 +216,28 @@ impl Recorder {
     /// every flushed ring and sorts by timestamp. Worker threads must
     /// have exited (their lanes flush on thread exit); events recorded
     /// after this call start a fresh trace window on the same handle.
+    ///
+    /// A joined thread's lane flushes in its thread-local destructors,
+    /// which can still be running after `join`/scope exit returns, so
+    /// this waits (briefly, bounded) for other threads' lanes to land.
     pub fn take_trace(&self) -> Trace {
         let Some(shared) = &self.shared else {
             return Trace::default();
         };
-        LANE.with(|slot| {
+        let own = LANE.with(|slot| {
             let mut slot = slot.borrow_mut();
-            if let Some(lane) = slot.as_mut() {
-                if Arc::ptr_eq(&lane.shared, shared) {
+            match slot.as_mut() {
+                Some(lane) if Arc::ptr_eq(&lane.shared, shared) => {
                     lane.flush();
+                    1
                 }
+                _ => 0,
             }
         });
+        let deadline = Instant::now() + LANE_EXIT_GRACE;
+        while shared.live_lanes.load(Ordering::Acquire) > own && Instant::now() < deadline {
+            std::thread::yield_now();
+        }
         let mut events = std::mem::take(&mut *shared.spool.lock().unwrap());
         events.sort_by_key(|e| e.t_ns);
         Trace {
@@ -253,7 +256,6 @@ mod tests {
         let rec = Recorder::off();
         assert!(!rec.is_enabled());
         assert_eq!(rec.now_ns(), 0);
-        assert!(!rec.sampled());
         rec.instant(Layer::Engine, EventKind::Op, "noop", 0);
         let trace = rec.take_trace();
         assert!(trace.events.is_empty());
@@ -304,6 +306,37 @@ mod tests {
     }
 
     #[test]
+    fn take_trace_waits_boundedly_for_a_live_lane() {
+        use std::sync::mpsc::channel;
+
+        let rec = Recorder::enabled();
+        let (release, parked) = channel::<()>();
+        let (ready, recorded) = channel::<()>();
+        let worker = {
+            let rec = rec.clone();
+            std::thread::spawn(move || {
+                rec.instant(Layer::Engine, EventKind::Op, "held", 1);
+                ready.send(()).unwrap();
+                parked.recv().unwrap();
+            })
+        };
+        recorded.recv().unwrap();
+        let t0 = Instant::now();
+        assert!(
+            rec.take_trace().events.is_empty(),
+            "a live thread's lane has not flushed yet"
+        );
+        assert!(t0.elapsed() < Duration::from_secs(5), "the wait is bounded");
+        release.send(()).unwrap();
+        worker.join().unwrap();
+        assert_eq!(
+            rec.take_trace().events.len(),
+            1,
+            "the lane lands once its thread exits"
+        );
+    }
+
+    #[test]
     fn ring_overflow_surfaces_in_the_trace_drop_count() {
         let rec = Recorder::with_capacity(8);
         for i in 0..20u64 {
@@ -340,12 +373,5 @@ mod tests {
         // the event held for `first`.
         assert_eq!(first.take_trace().events.len(), 1);
         assert_eq!(second.take_trace().events.len(), 1);
-    }
-
-    #[test]
-    fn sampling_gate_fires_periodically_when_enabled() {
-        let rec = Recorder::enabled();
-        let hits = (0..640).filter(|_| rec.sampled()).count();
-        assert!(hits >= 10, "expected ~20 hits in 640 ticks, got {hits}");
     }
 }

@@ -12,7 +12,7 @@ fn layer(sel: u8) -> Layer {
 }
 
 fn kind(sel: u8) -> EventKind {
-    match (sel / 5) % 10 {
+    match (sel / 5) % 9 {
         0 => EventKind::Op,
         1 => EventKind::OpFail,
         2 => EventKind::StmRetry,
@@ -21,8 +21,7 @@ fn kind(sel: u8) -> EventKind {
         5 => EventKind::QueueAdmit,
         6 => EventKind::QueueReject,
         7 => EventKind::FrameDecode,
-        8 => EventKind::NetFlush,
-        _ => EventKind::Phase,
+        _ => EventKind::NetFlush,
     }
 }
 

@@ -18,7 +18,6 @@
 //! leans on: serving a stream must not change any operation's outcome.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 use rand::rngs::SmallRng;
@@ -26,11 +25,12 @@ use rand::SeedableRng;
 
 use stmbench7_backend::{Backend, TxOperation};
 use stmbench7_core::{
-    access_spec, primary_shard, run_op, CategoryLatency, Histogram, OpCtx, OpFilter, OpKind,
-    OpReport, Report, ServiceStats, Timeseries, WorkloadMix, WorkloadType,
+    access_spec, merge_ops, op_ledger, primary_shard, run_op, BackendCounters, Flight, OpCtx,
+    OpFilter, OpKind, OpReport, Report, ServiceStats, Timeseries, WindowAcc, WorkloadMix,
+    WorkloadType,
 };
 use stmbench7_data::{AccessSpec, OpOutcome, Sb7Tx, StructureParams, TxR};
-use stmbench7_obs::{ContentionSnapshot, EventKind, FlightProbes, FlightRecorder, Layer, Recorder};
+use stmbench7_obs::{EventKind, FlightRecorder, Layer, Recorder};
 
 use stmbench7_backend::queue::{Admission, BoundedQueue};
 
@@ -193,14 +193,9 @@ pub struct Ingress<'q> {
     offered: AtomicU64,
     rejected: AtomicU64,
     recorder: Recorder,
-    /// The run's flight recorder (off when `window_ms` is unset).
-    flight: FlightRecorder,
-    /// The current window's end-to-end latency histogram — the sampler
-    /// swaps it out at every cut.
-    lat_window: &'q Mutex<Histogram>,
-    /// The run-so-far latency histogram (closed windows merged in) —
-    /// what a live scrape's histogram is built from.
-    lat_totals: &'q Mutex<Histogram>,
+    /// The run's flight recorder and window latencies (off when
+    /// `window_ms` is unset).
+    flight: &'q Flight,
 }
 
 impl Ingress<'_> {
@@ -246,7 +241,7 @@ impl Ingress<'_> {
             Admission::Reject => {
                 if queue.try_push(req).is_err() {
                     self.rejected.fetch_add(1, Ordering::Relaxed);
-                    self.flight.add_rejected(1);
+                    self.flight.recorder.add_rejected(1);
                     self.recorder
                         .instant(Layer::Service, EventKind::QueueReject, "queue", id);
                     false
@@ -278,7 +273,7 @@ impl Ingress<'_> {
                 self.offered.fetch_add(1, Ordering::Relaxed);
                 if queue.try_push(req).is_err() {
                     self.rejected.fetch_add(1, Ordering::Relaxed);
-                    self.flight.add_rejected(1);
+                    self.flight.recorder.add_rejected(1);
                     self.recorder
                         .instant(Layer::Service, EventKind::QueueReject, "queue", id);
                     Offer::Rejected
@@ -318,7 +313,7 @@ impl Ingress<'_> {
     /// server calls this when an accepted connection reuses a slot a
     /// previous connection died in).
     pub fn note_reconnect(&self) {
-        self.flight.add_reconnects(1);
+        self.flight.recorder.add_reconnects(1);
     }
 
     /// The Prometheus text exposition of the run's live counters —
@@ -327,15 +322,11 @@ impl Ingress<'_> {
     /// window, so a scrape always sees every sample recorded so far.
     /// All-zero (but well-formed) when the flight recorder is off.
     pub fn metrics_text(&self) -> String {
-        // One lock at a time — the sampler's cut takes these in the
-        // same singly-held fashion, so no ordering deadlock exists.
-        let mut latency = self
-            .lat_totals
-            .lock()
-            .expect("latency totals poisoned")
-            .clone();
-        latency.merge(&self.lat_window.lock().expect("latency window poisoned"));
-        crate::metrics::render_prometheus(&self.flight.totals(), &latency, self.queue_depth())
+        crate::metrics::render_prometheus(
+            &self.flight.recorder.totals(),
+            &self.flight.latency_so_far(),
+            self.queue_depth(),
+        )
     }
 }
 
@@ -366,75 +357,35 @@ impl TxOperation<Vec<OpOutcome>> for BatchRunner<'_> {
     }
 }
 
-/// Per-worker, per-operation measurements (mirrors the engine's thread
-/// stats, plus the latency decomposition).
-struct WorkerStats {
-    completed: Vec<u64>,
-    failed: Vec<u64>,
-    aborts: Vec<u64>,
-    max_ns: Vec<u64>,
-    sum_ns: Vec<u64>,
-    hist: Vec<Histogram>,
-    queue_wait: Histogram,
-    service_time: Histogram,
-    e2e: Histogram,
-    per_category: Vec<CategoryLatency>,
-    batches: u64,
-    /// Multi-request batches carrying at least one writing request.
-    write_batches: u64,
-    /// Largest group-committed write batch this worker executed.
-    max_write_batch: u64,
-    /// Requests this worker stole from peers' sub-queues.
-    steals: u64,
-    /// Time this worker spent executing batches.
-    busy_ns: u64,
-    /// Time this worker spent waiting for work (wall time minus busy).
-    idle_ns: u64,
+/// One worker's ledger: the engine's per-operation rows plus the
+/// latency split, the outcomes it produced, and its window chunk.
+struct WorkerLedger<'f> {
+    ops: Vec<OpReport>,
+    svc: ServiceStats,
     outcomes: Vec<(u64, OpOutcome)>,
+    win: WindowAcc<'f>,
 }
 
-impl WorkerStats {
-    fn new() -> Self {
-        WorkerStats {
-            completed: vec![0; 45],
-            failed: vec![0; 45],
-            aborts: vec![0; 45],
-            max_ns: vec![0; 45],
-            sum_ns: vec![0; 45],
-            hist: (0..45).map(|_| Histogram::new()).collect(),
-            queue_wait: Histogram::micros(),
-            service_time: Histogram::micros(),
-            e2e: Histogram::micros(),
-            per_category: CategoryLatency::all_empty(),
-            batches: 0,
-            write_batches: 0,
-            max_write_batch: 0,
-            steals: 0,
-            busy_ns: 0,
-            idle_ns: 0,
+impl<'f> WorkerLedger<'f> {
+    fn new(mix: &WorkloadMix, flight: &'f Flight) -> Self {
+        WorkerLedger {
+            ops: op_ledger(mix),
+            svc: ServiceStats::default(),
             outcomes: Vec::new(),
+            win: flight.acc(),
         }
     }
 
     fn record(&mut self, req: &Request, outcome: OpOutcome, start_ns: u64, end_ns: u64) {
         let service_ns = end_ns - start_ns;
-        let queue_ns = start_ns.saturating_sub(req.arrival_ns);
-        let i = req.op.index();
-        match outcome {
-            OpOutcome::Done(_) => {
-                self.completed[i] += 1;
-                self.max_ns[i] = self.max_ns[i].max(service_ns);
-                self.sum_ns[i] += service_ns;
-                self.hist[i].record(service_ns);
-            }
-            OpOutcome::Fail(_) => self.failed[i] += 1,
-        }
-        self.queue_wait.record(queue_ns);
-        self.service_time.record(service_ns);
-        self.e2e.record(end_ns.saturating_sub(req.arrival_ns));
-        let cat = &mut self.per_category[req.op.category().index()];
-        cat.queue_wait.record(queue_ns);
-        cat.service_time.record(service_ns);
+        let done = matches!(outcome, OpOutcome::Done(_));
+        self.ops[req.op.index()].record(done, service_ns, true);
+        self.svc.record(
+            req.op.category(),
+            start_ns.saturating_sub(req.arrival_ns),
+            service_ns,
+            end_ns.saturating_sub(req.arrival_ns),
+        );
         self.outcomes.push((req.id, outcome));
     }
 }
@@ -479,8 +430,7 @@ fn execute_batch<B: Backend>(
     epoch: Instant,
     recorder: &Recorder,
     flight: &FlightRecorder,
-    lat_window: &Mutex<Histogram>,
-    stats: &mut WorkerStats,
+    worker: &mut WorkerLedger<'_>,
     observe: &(impl Fn(&Request, &OpOutcome, u64, u64) + ?Sized),
 ) {
     let spec = batch_spec(specs, batch);
@@ -493,38 +443,35 @@ fn execute_batch<B: Backend>(
     };
     let outcomes = backend.execute(&spec, &mut runner);
     let attempts = runner.attempts;
+    let aborts = attempts.saturating_sub(1);
     let end_ns = epoch.elapsed().as_nanos() as u64;
     let start_ns = (t0 - epoch).as_nanos() as u64;
-    stats.batches += 1;
+    let busy_ns = end_ns.saturating_sub(start_ns);
+    let svc = &mut worker.svc;
+    svc.batches += 1;
     let write_batch = batch.len() > 1 && batch.iter().any(|r| !r.op.is_read_only());
     if write_batch {
-        stats.write_batches += 1;
-        stats.max_write_batch = stats.max_write_batch.max(batch.len() as u64);
+        svc.write_batches += 1;
+        svc.max_write_batch = svc.max_write_batch.max(batch.len() as u64);
     }
-    stats.busy_ns += end_ns.saturating_sub(start_ns);
+    svc.busy_ns += busy_ns;
     // A retried batch is one abort; attribute it to the batch head's
     // operation (batches are homogeneous-enough: group-commit merges
     // only lock-compatible specs).
-    stats.aborts[batch[0].op.index()] += attempts.saturating_sub(1);
-    if flight.enabled() {
-        // Publish the batch's whole footprint in one go — a handful of
-        // relaxed adds plus one histogram lock per batch — and do it
-        // *before* `observe` hands out responses: once a client holds a
+    worker.ops[batch[0].op.index()].aborts += aborts;
+    if worker.win.enabled() {
+        // Publish the batch's whole footprint in one flush, *before*
+        // `observe` hands out responses: once a client holds a
         // response, a live scrape is guaranteed to count it.
-        let win_failed = outcomes
-            .iter()
-            .filter(|o| matches!(o, OpOutcome::Fail(_)))
-            .count() as u64;
-        flight.add_ops(batch.len() as u64, win_failed, attempts.saturating_sub(1));
-        flight.add_batch(write_batch);
-        flight.add_busy_ns(end_ns.saturating_sub(start_ns));
-        let win_e2e = batch.iter().map(|r| end_ns.saturating_sub(r.arrival_ns));
-        let sum_us: u64 = win_e2e.clone().map(|ns| ns / 1_000).sum();
-        flight.add_latency_us(sum_us, batch.len() as u64);
-        let mut window = lat_window.lock().expect("latency window poisoned");
-        for ns in win_e2e {
-            window.record(ns);
+        worker.win.execution(busy_ns, aborts);
+        for (req, outcome) in batch.iter().zip(&outcomes) {
+            let failed = matches!(outcome, OpOutcome::Fail(_));
+            worker
+                .win
+                .answer(failed, end_ns.saturating_sub(req.arrival_ns));
         }
+        worker.win.flush();
+        flight.add_batch(write_batch);
     }
     for (req, outcome) in batch.iter().zip(outcomes) {
         if recorder.is_enabled() {
@@ -533,7 +480,7 @@ fn execute_batch<B: Backend>(
                 EventKind::Op,
                 req.op.name(),
                 trace_t0,
-                end_ns.saturating_sub(start_ns),
+                busy_ns,
                 attempts,
             );
             if matches!(outcome, OpOutcome::Fail(_)) {
@@ -541,17 +488,16 @@ fn execute_batch<B: Backend>(
             }
         }
         observe(req, &outcome, start_ns, end_ns);
-        stats.record(req, outcome, start_ns, end_ns);
+        worker.record(req, outcome, start_ns, end_ns);
     }
 }
 
-/// End-of-run accounting that travels alongside the worker stats.
+/// End-of-run accounting that travels alongside the worker ledgers.
 struct RunTotals {
     elapsed: Duration,
     offered: u64,
     rejected: u64,
-    stm: Option<stmbench7_stm::StatsSnapshot>,
-    contention: Option<ContentionSnapshot>,
+    counters: BackendCounters,
     timeseries: Option<Timeseries>,
 }
 
@@ -559,61 +505,35 @@ fn merge_into_report<B: Backend>(
     backend: &B,
     cfg: &ServeConfig,
     mix: &WorkloadMix,
-    all_stats: Vec<WorkerStats>,
+    workers: Vec<WorkerLedger<'_>>,
     totals: RunTotals,
 ) -> ServeResult {
-    let RunTotals {
-        elapsed,
-        offered,
-        rejected,
-        stm,
-        contention,
-        timeseries,
-    } = totals;
-    let mut per_op: Vec<OpReport> = OpKind::ALL
-        .iter()
-        .map(|op| OpReport::empty(*op, mix.expected(*op)))
-        .collect();
-    let mut queue_wait = Histogram::micros();
-    let mut service_time = Histogram::micros();
-    let mut e2e = Histogram::micros();
-    let mut per_category = CategoryLatency::all_empty();
-    let mut batches = 0;
-    let mut write_batches = 0u64;
-    let mut max_write_batch = 0u64;
-    let mut steals = 0u64;
-    let mut busy_ns = 0u64;
-    let mut idle_ns = 0u64;
-    let mut outcomes: Vec<Option<OpOutcome>> = vec![None; offered as usize];
-    // Busy time per worker, in worker order. Stolen batches execute on
-    // the thief's thread and accrue into the thief's stats, so this is
-    // genuinely "who did the work", not "whose queue it sat in".
-    let worker_busy_ns: Vec<u64> = all_stats.iter().map(|s| s.busy_ns).collect();
-    for stats in &all_stats {
-        for (i, r) in per_op.iter_mut().enumerate() {
-            r.completed += stats.completed[i];
-            r.failed += stats.failed[i];
-            r.aborts += stats.aborts[i];
-            r.max_ns = r.max_ns.max(stats.max_ns[i]);
-            r.sum_ns += stats.sum_ns[i];
-            r.hist.merge(&stats.hist[i]);
-        }
-        queue_wait.merge(&stats.queue_wait);
-        service_time.merge(&stats.service_time);
-        e2e.merge(&stats.e2e);
-        for (merged, worker) in per_category.iter_mut().zip(&stats.per_category) {
-            merged.merge(worker);
-        }
-        batches += stats.batches;
-        write_batches += stats.write_batches;
-        max_write_batch = max_write_batch.max(stats.max_write_batch);
-        steals += stats.steals;
-        busy_ns += stats.busy_ns;
-        idle_ns += stats.idle_ns;
-        for (id, outcome) in &stats.outcomes {
-            outcomes[*id as usize] = Some(*outcome);
+    let mut per_op = op_ledger(mix);
+    let mut svc = ServiceStats {
+        schedule: cfg.schedule.key(),
+        workers: cfg.workers,
+        queue_cap: cfg.queue_cap,
+        batch_max: cfg.batch_max,
+        affinity: cfg.affinity.key().to_string(),
+        offered: totals.offered,
+        rejected: totals.rejected,
+        // Busy time per worker, in worker order. Stolen batches execute
+        // on the thief's thread and accrue into the thief's ledger, so
+        // this is genuinely "who did the work", not "whose queue it sat
+        // in".
+        worker_busy_ns: workers.iter().map(|w| w.svc.busy_ns).collect(),
+        trace_dropped: cfg.recorder.dropped(),
+        ..ServiceStats::default()
+    };
+    let mut outcomes: Vec<Option<OpOutcome>> = vec![None; totals.offered as usize];
+    for worker in &workers {
+        merge_ops(&mut per_op, &worker.ops);
+        svc.merge(&worker.svc);
+        for &(id, outcome) in &worker.outcomes {
+            outcomes[id as usize] = Some(outcome);
         }
     }
+    let BackendCounters { stm, contention } = totals.counters;
     let report = Report {
         backend: backend.name().to_string(),
         threads: cfg.workers,
@@ -621,34 +541,12 @@ fn merge_into_report<B: Backend>(
         long_traversals: cfg.long_traversals,
         structure_mods: cfg.structure_mods,
         seed: cfg.seed,
-        elapsed,
+        elapsed: totals.elapsed,
         per_op,
         stm,
         contention,
-        timeseries,
-        service: Some(ServiceStats {
-            schedule: cfg.schedule.key(),
-            workers: cfg.workers,
-            queue_cap: cfg.queue_cap,
-            batch_max: cfg.batch_max,
-            affinity: cfg.affinity.key().to_string(),
-            offered,
-            rejected,
-            reconnects: 0,
-            busy_ns,
-            idle_ns,
-            worker_busy_ns,
-            trace_dropped: cfg.recorder.dropped(),
-            batches,
-            write_batches,
-            max_write_batch,
-            steals,
-            queue_wait,
-            service_time,
-            e2e,
-            network: None,
-            per_category,
-        }),
+        timeseries: totals.timeseries,
+        service: Some(svc),
     };
     ServeResult { report, outcomes }
 }
@@ -690,31 +588,11 @@ pub fn serve_source<B: Backend, R>(
         batch_max > 1 && compat[a.op.index()] >> b.op.index() & 1 == 1
     };
 
-    let stm_before = backend.stm_stats();
-    let contention_before = backend.contention();
-
-    // Flight recorder state: workers publish per-batch measurements,
-    // the scoped sampler thread cuts windows, live scrapes read the
-    // cumulative side through `Ingress::metrics_text`.
-    let flight = match cfg.window_ms {
-        Some(ms) => FlightRecorder::new(ms),
-        None => FlightRecorder::off(),
-    };
-    let lat_window = Mutex::new(Histogram::micros());
-    let lat_totals = Mutex::new(Histogram::micros());
-    let depth_probe = || queues.iter().map(|q| q.len() as u64).sum();
-    let latency_probe = || {
-        let window = std::mem::replace(
-            &mut *lat_window.lock().expect("latency window poisoned"),
-            Histogram::micros(),
-        );
-        lat_totals
-            .lock()
-            .expect("latency totals poisoned")
-            .merge(&window);
-        window.latency_cut()
-    };
-    let contention_probe = || backend.contention();
+    let counters = BackendCounters::read(backend);
+    // Workers publish per-batch measurements, the scoped sampler thread
+    // cuts windows, live scrapes read the cumulative side through
+    // `Ingress::metrics_text`.
+    let flight = Flight::new(cfg.window_ms);
 
     let epoch = Instant::now();
     let ingress = Ingress {
@@ -727,29 +605,23 @@ pub fn serve_source<B: Backend, R>(
         offered: AtomicU64::new(0),
         rejected: AtomicU64::new(0),
         recorder: cfg.recorder.clone(),
-        flight: flight.clone(),
-        lat_window: &lat_window,
-        lat_totals: &lat_totals,
+        flight: &flight,
     };
 
-    let (all_stats, fed): (Vec<WorkerStats>, R) = std::thread::scope(|scope| {
-        if flight.enabled() {
-            let flight = &flight;
-            let probes = FlightProbes {
-                queue_depth: &depth_probe,
-                latency_cut: &latency_probe,
-                contention: &contention_probe,
-            };
-            scope.spawn(move || flight.run_sampler(probes));
-        }
+    let (workers, fed): (Vec<WorkerLedger<'_>>, R) = std::thread::scope(|scope| {
+        flight.spawn_sampler(
+            scope,
+            || queues.iter().map(|q| q.len() as u64).sum(),
+            || backend.contention(),
+        );
         let mut handles = Vec::with_capacity(cfg.workers);
         for worker_id in 0..cfg.workers {
             let queues = &queues;
             let specs = &specs;
+            let mix = &mix;
             let compatible = &compatible;
             let observe = &observe;
             let flight = &flight;
-            let lat_window = &lat_window;
             handles.push(scope.spawn(move || {
                 // The context RNG is re-seeded per request from the
                 // request itself; the worker seed only covers the (never
@@ -758,7 +630,7 @@ pub fn serve_source<B: Backend, R>(
                     params.clone(),
                     cfg.seed ^ (worker_id as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15),
                 );
-                let mut stats = WorkerStats::new();
+                let mut worker = WorkerLedger::new(mix, flight);
                 let mut steals = 0u64;
                 let worker_t0 = Instant::now();
                 {
@@ -770,9 +642,8 @@ pub fn serve_source<B: Backend, R>(
                             &mut ctx,
                             epoch,
                             &cfg.recorder,
-                            flight,
-                            lat_window,
-                            &mut stats,
+                            &flight.recorder,
+                            &mut worker,
                             observe,
                         );
                     };
@@ -797,7 +668,7 @@ pub fn serve_source<B: Backend, R>(
                             });
                             if let Some(batch) = stolen {
                                 steals += batch.len() as u64;
-                                flight.add_steal();
+                                flight.recorder.add_steal();
                                 run(batch);
                                 continue;
                             }
@@ -815,12 +686,12 @@ pub fn serve_source<B: Backend, R>(
                         },
                     }
                 }
-                stats.steals = steals;
+                worker.svc.steals = steals;
                 // Whatever wall time was not spent in a batch, the worker
                 // spent waiting on the queue.
                 let total_ns = worker_t0.elapsed().as_nanos() as u64;
-                stats.idle_ns = total_ns.saturating_sub(stats.busy_ns);
-                stats
+                worker.svc.idle_ns = total_ns.saturating_sub(worker.svc.busy_ns);
+                worker
             }));
         }
 
@@ -830,41 +701,28 @@ pub fn serve_source<B: Backend, R>(
             queue.close();
         }
 
-        let stats: Vec<WorkerStats> = handles
+        let workers = handles
             .into_iter()
             .map(|h| h.join().expect("service worker panicked"))
             .collect();
         // Cut the final partial window and release the sampler before
         // the scope joins it.
         flight.stop();
-        (stats, fed)
+        (workers, fed)
     });
 
     let elapsed = epoch.elapsed();
-    let timeseries = flight.window_ms().map(|window_ms| Timeseries {
-        window_ms,
-        windows: flight.take_samples(),
-    });
-    let stm = match (stm_before, backend.stm_stats()) {
-        (Some(before), Some(after)) => Some(after.delta(&before)),
-        _ => None,
-    };
-    let contention = match (contention_before, backend.contention()) {
-        (Some(before), Some(after)) => Some(after.delta(&before)),
-        _ => None,
-    };
     let result = merge_into_report(
         backend,
         cfg,
         &mix,
-        all_stats,
+        workers,
         RunTotals {
             elapsed,
             offered: ingress.offered.load(Ordering::Relaxed),
             rejected: ingress.rejected.load(Ordering::Relaxed),
-            stm,
-            contention,
-            timeseries,
+            counters: counters.since(backend),
+            timeseries: flight.timeseries(),
         },
     );
     (result, fed)
@@ -915,15 +773,12 @@ pub fn run_stream_closed<B: Backend>(
 ) -> ServeResult {
     let mix = cfg.mix();
     let specs = op_specs(params);
-    let stm_before = backend.stm_stats();
-    let contention_before = backend.contention();
+    let counters = BackendCounters::read(backend);
     let epoch = Instant::now();
     let mut ctx = OpCtx::new(params.clone(), cfg.seed);
-    let mut stats = WorkerStats::new();
-    let observe = |_: &Request, _: &OpOutcome, _: u64, _: u64| {};
     // Closed-loop oracle runs are never sampled: no queue, no windows.
-    let flight = FlightRecorder::off();
-    let lat_window = Mutex::new(Histogram::micros());
+    let flight = Flight::new(None);
+    let mut worker = WorkerLedger::new(&mix, &flight);
     for req in requests {
         execute_batch(
             backend,
@@ -932,32 +787,22 @@ pub fn run_stream_closed<B: Backend>(
             &mut ctx,
             epoch,
             &cfg.recorder,
-            &flight,
-            &lat_window,
-            &mut stats,
-            &observe,
+            &flight.recorder,
+            &mut worker,
+            &|_: &Request, _: &OpOutcome, _: u64, _: u64| {},
         );
     }
     let elapsed = epoch.elapsed();
-    let stm = match (stm_before, backend.stm_stats()) {
-        (Some(before), Some(after)) => Some(after.delta(&before)),
-        _ => None,
-    };
-    let contention = match (contention_before, backend.contention()) {
-        (Some(before), Some(after)) => Some(after.delta(&before)),
-        _ => None,
-    };
     let mut result = merge_into_report(
         backend,
         cfg,
         &mix,
-        vec![stats],
+        vec![worker],
         RunTotals {
             elapsed,
             offered: requests.len() as u64,
             rejected: 0,
-            stm,
-            contention,
+            counters: counters.since(backend),
             timeseries: None,
         },
     );
@@ -1100,8 +945,7 @@ mod tests {
             rng_seed: id,
         };
         let queue: BoundedQueue<Request> = BoundedQueue::new(1);
-        let lat_window = Mutex::new(Histogram::micros());
-        let lat_totals = Mutex::new(Histogram::micros());
+        let flight = Flight::new(None);
         let ingress = Ingress {
             queues: std::slice::from_ref(&queue),
             affinity: Affinity::None,
@@ -1112,9 +956,7 @@ mod tests {
             offered: AtomicU64::new(0),
             rejected: AtomicU64::new(0),
             recorder: Recorder::default(),
-            flight: FlightRecorder::off(),
-            lat_window: &lat_window,
-            lat_totals: &lat_totals,
+            flight: &flight,
         };
         assert_eq!(
             ingress.offer_nonblocking(req(ingress.claim_id())),
@@ -1132,8 +974,7 @@ mod tests {
         assert_eq!(ingress.offer_nonblocking(req(id)), Offer::Admitted);
 
         let queue: BoundedQueue<Request> = BoundedQueue::new(1);
-        let lat_window = Mutex::new(Histogram::micros());
-        let lat_totals = Mutex::new(Histogram::micros());
+        let flight = Flight::new(None);
         let ingress = Ingress {
             queues: std::slice::from_ref(&queue),
             affinity: Affinity::None,
@@ -1144,9 +985,7 @@ mod tests {
             offered: AtomicU64::new(0),
             rejected: AtomicU64::new(0),
             recorder: Recorder::default(),
-            flight: FlightRecorder::off(),
-            lat_window: &lat_window,
-            lat_totals: &lat_totals,
+            flight: &flight,
         };
         assert_eq!(
             ingress.offer_nonblocking(req(ingress.claim_id())),

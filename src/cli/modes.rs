@@ -499,7 +499,7 @@ fn parse_trace_file(text: &str) -> Result<Trace, String> {
     let events = doc.as_array().ok_or("trace is not a JSON array")?;
     let mut trace = Trace::default();
     // Event names come from a small static vocabulary (operation names,
-    // lock names, phases), so leaking one copy per distinct name to get
+    // lock names), so leaking one copy per distinct name to get
     // back to `&'static str` is bounded.
     let mut names: Vec<&'static str> = Vec::new();
     for ev in events {
