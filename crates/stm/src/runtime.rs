@@ -1,6 +1,8 @@
-//! The runtime interface shared by both STMs.
+//! The runtime interface shared by the three STMs.
 
 use std::any::Any;
+use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::Arc;
 
 use crate::stats::StatsSnapshot;
@@ -104,8 +106,38 @@ pub(crate) fn downcast<T: TxVal>(v: ErasedVal) -> Arc<T> {
         .unwrap_or_else(|_| panic!("transactional variable holds an unexpected type"))
 }
 
+/// Hashes a cell address with one multiply.
+///
+/// Keys are addresses of live cells the runtime allocated itself, never
+/// outside input, so no collision resistance is needed. The multiply
+/// carries every address bit into the high half; the rotation brings that
+/// half down to the low bits `HashMap` takes its bucket index from (cell
+/// addresses share their low, alignment bits, which a bare multiply
+/// would leave in the index).
+#[derive(Default)]
+pub(crate) struct PtrHasher(u64);
+
+impl Hasher for PtrHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("PtrHasher hashes cell addresses (usize) only")
+    }
+
+    fn write_usize(&mut self, addr: usize) {
+        self.0 = (addr as u64)
+            .wrapping_mul(0x9E37_79B9_7F4A_7C15)
+            .rotate_left(26);
+    }
+}
+
+/// A map keyed by cell address, hashed by [`PtrHasher`].
+pub(crate) type PtrMap<V> = HashMap<usize, V, BuildHasherDefault<PtrHasher>>;
+
 /// Bounded exponential backoff with deterministic per-thread jitter, used
-/// between transaction attempts by both runtimes.
+/// between transaction attempts by the three runtimes.
 pub(crate) fn backoff(attempt: u32, seed: u64) {
     let exp = attempt.min(10);
     let base = 1u64 << exp; // 1..1024 "units" of ~50ns spin
@@ -134,6 +166,21 @@ mod tests {
     fn downcast_mismatch_panics() {
         let v: ErasedVal = Arc::new(7u32);
         let _ = downcast::<u64>(v);
+    }
+
+    #[test]
+    fn ptr_hasher_spreads_aligned_addresses() {
+        use std::hash::BuildHasher;
+        // 64-byte-aligned addresses must still land in distinct low bits.
+        let hasher = BuildHasherDefault::<PtrHasher>::default();
+        let buckets: std::collections::HashSet<u64> = (0..256usize)
+            .map(|i| hasher.hash_one(0x7f00_0000_0000 + i * 64) & 255)
+            .collect();
+        assert!(
+            buckets.len() > 128,
+            "only {} of 256 buckets used",
+            buckets.len()
+        );
     }
 
     #[test]

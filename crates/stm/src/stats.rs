@@ -2,9 +2,9 @@
 //!
 //! The paper's §5 diagnosis rests on *where the work goes*: validation
 //! steps (the O(k²) incremental-validation pathology) and whole-object
-//! clones (the logging-granularity pathology). Both runtimes account for
-//! them here; the ablation benches print these counters next to wall-clock
-//! results.
+//! clones (the logging-granularity pathology). The three runtimes account
+//! for them here; the ablation benches print these counters next to
+//! wall-clock results.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -86,10 +86,14 @@ impl StatsSnapshot {
     }
 }
 
-/// Per-transaction counter buffer, flushed once per attempt to keep the
-/// shared atomics off the hot path.
+/// Per-transaction counter buffer, flushed once per attempt (TL2: once
+/// per transaction) to keep the shared atomics off the hot path. A field
+/// that is 0 at flush time touches no shared cache line.
 #[derive(Clone, Copy, Debug, Default)]
 pub(crate) struct LocalCounts {
+    pub starts: u64,
+    pub commits: u64,
+    pub aborts: u64,
     pub reads: u64,
     pub writes: u64,
     pub validation_steps: u64,
@@ -99,13 +103,19 @@ pub(crate) struct LocalCounts {
 
 impl LocalCounts {
     pub(crate) fn flush(&mut self, into: &Counters) {
-        into.reads.fetch_add(self.reads, Ordering::Relaxed);
-        into.writes.fetch_add(self.writes, Ordering::Relaxed);
-        into.validation_steps
-            .fetch_add(self.validation_steps, Ordering::Relaxed);
-        into.clones.fetch_add(self.clones, Ordering::Relaxed);
-        into.extensions
-            .fetch_add(self.extensions, Ordering::Relaxed);
+        fn add(counter: &AtomicU64, n: u64) {
+            if n != 0 {
+                counter.fetch_add(n, Ordering::Relaxed);
+            }
+        }
+        add(&into.starts, self.starts);
+        add(&into.commits, self.commits);
+        add(&into.aborts, self.aborts);
+        add(&into.reads, self.reads);
+        add(&into.writes, self.writes);
+        add(&into.validation_steps, self.validation_steps);
+        add(&into.clones, self.clones);
+        add(&into.extensions, self.extensions);
         *self = LocalCounts::default();
     }
 }
@@ -137,6 +147,9 @@ mod tests {
     fn local_counts_flush_accumulates_and_resets() {
         let c = Counters::default();
         let mut l = LocalCounts {
+            starts: 2,
+            aborts: 1,
+            commits: 1,
             reads: 3,
             writes: 2,
             validation_steps: 7,
@@ -147,6 +160,7 @@ mod tests {
         l.reads = 5;
         l.flush(&c);
         let s = c.snapshot();
+        assert_eq!((s.starts, s.commits, s.aborts), (2, 1, 1));
         assert_eq!(s.reads, 8);
         assert_eq!(s.writes, 2);
         assert_eq!(s.validation_steps, 7);

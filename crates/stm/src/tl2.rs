@@ -20,18 +20,35 @@
 //! is identical to the ASTM runtime — the two runtimes differ only in the
 //! validation/acquisition strategy, which is exactly what the validation
 //! ablation bench isolates.
+//!
+//! **Transaction descriptor.** Each thread keeps one set of transaction
+//! bookkeeping (`TxSets`) and reuses it: a transaction takes it from a
+//! thread-local on entry, clears it between attempts, and hands it back
+//! empty on return, so no `Arc` outlives the transaction and the tables
+//! are not regrown from nothing for every attempt. A nested `atomic` (or
+//! a transaction after a panicking one) finds the slot empty and starts
+//! with fresh sets. The read set and the buffered writes share one table
+//! keyed by cell address and hashed by `PtrHasher` (one multiply); the
+//! written addresses, sorted in place, are the commit's lock order. Sets
+//! grown past `RETAINED_CAP` entries are freed on return, so a small
+//! transaction never clears or validates a table sized for the largest
+//! one the thread ever ran. The counters are buffered per transaction and
+//! flushed once when it returns, skipping fields that stayed 0; a
+//! transaction whose body panics counts nothing.
 
-use std::collections::HashMap;
 use std::marker::PhantomData;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use parking_lot::RwLock;
 
-use crate::runtime::{backoff, downcast, Abort, ErasedVal, StmResult, StmRuntime, TxVal};
+use crate::runtime::{backoff, downcast, Abort, ErasedVal, PtrMap, StmResult, StmRuntime, TxVal};
 use crate::stats::{Counters, LocalCounts, StatsSnapshot};
 
 const LOCKED: u64 = 1;
+
+/// Entries a thread's retained [`TxSets`] may keep room for.
+const RETAINED_CAP: usize = 1024;
 
 #[inline]
 fn is_locked(vlock: u64) -> bool {
@@ -66,6 +83,35 @@ impl Cell {
             }
         }
         Err(Abort)
+    }
+
+    /// Locks the cell for a commit reading at `rv`, with a bounded
+    /// trylock; fails when someone committed past `rv` or holds the lock
+    /// too long.
+    fn try_lock(&self, rv: u64) -> bool {
+        for _ in 0..128 {
+            let vl = self.vlock.load(Ordering::Acquire);
+            if is_locked(vl) {
+                std::hint::spin_loop();
+                continue;
+            }
+            if version_of(vl) > rv {
+                return false; // Someone committed past us.
+            }
+            if self
+                .vlock
+                .compare_exchange(vl, vl | LOCKED, Ordering::AcqRel, Ordering::Acquire)
+                .is_ok()
+            {
+                return true;
+            }
+        }
+        false
+    }
+
+    fn unlock(&self) {
+        let vl = self.vlock.load(Ordering::Relaxed);
+        self.vlock.store(vl & !LOCKED, Ordering::Release);
     }
 }
 
@@ -136,34 +182,35 @@ impl Tl2Runtime {
         read_only: bool,
         mut f: impl FnMut(&mut Tl2Tx<'_>) -> StmResult<R>,
     ) -> R {
+        let mut tx = Tl2Tx {
+            rt: self,
+            rv: 0,
+            sets: TxSets::take(),
+            read_only,
+            local: LocalCounts::default(),
+        };
         let mut attempt = 0u32;
-        loop {
-            self.counters.starts.fetch_add(1, Ordering::Relaxed);
-            let mut tx = Tl2Tx {
-                rt: self,
-                rv: self.clock.load(Ordering::SeqCst),
-                reads: HashMap::new(),
-                writes: HashMap::new(),
-                read_only,
-                local: LocalCounts::default(),
-            };
+        let out = loop {
+            tx.local.starts += 1;
+            tx.rv = self.clock.load(Ordering::SeqCst);
             let result = match f(&mut tx) {
                 Ok(r) => tx.commit().map(|()| r),
                 Err(Abort) => Err(Abort),
             };
-            tx.local.flush(&self.counters);
             match result {
-                Ok(r) => {
-                    self.counters.commits.fetch_add(1, Ordering::Relaxed);
-                    return r;
-                }
+                Ok(r) => break r,
                 Err(Abort) => {
-                    self.counters.aborts.fetch_add(1, Ordering::Relaxed);
+                    tx.local.aborts += 1;
+                    tx.sets.clear();
                     backoff(attempt, attempt as u64 + 1);
                     attempt = attempt.saturating_add(1);
                 }
             }
-        }
+        };
+        tx.local.commits += 1;
+        tx.local.flush(&self.counters);
+        tx.sets.give_back();
+        out
     }
 }
 
@@ -173,16 +220,80 @@ impl Default for Tl2Runtime {
     }
 }
 
+/// What a transaction knows about one cell it touched.
+struct Access {
+    cell: Arc<Cell>,
+    /// Version at first read (or first open for writing).
+    seen: u64,
+    /// The private value commit publishes, once opened for writing.
+    buffered: Option<ErasedVal>,
+}
+
+impl Access {
+    /// Re-reads the cell; any version but the one first seen aborts.
+    fn resample(&self) -> StmResult<ErasedVal> {
+        let (ver, value) = self.cell.sample()?;
+        if ver == self.seen {
+            Ok(value)
+        } else {
+            Err(Abort)
+        }
+    }
+
+    /// Whether the cell still carries the version first seen and no
+    /// other transaction holds its lock (`ours`: this one does).
+    fn unchanged(&self, ours: bool) -> bool {
+        let vl = self.cell.vlock.load(Ordering::Acquire);
+        version_of(vl) == self.seen && (ours || !is_locked(vl))
+    }
+}
+
+/// A thread's reusable transaction descriptor (see module docs).
+#[derive(Default)]
+struct TxSets {
+    /// Cell address → access: the read set, with the write set's buffered
+    /// values in the same entries (every written cell is read first).
+    accesses: PtrMap<Access>,
+    /// Addresses of the cells with a buffered value; commit sorts them in
+    /// place into its lock order.
+    written: Vec<usize>,
+}
+
+thread_local! {
+    /// The thread's idle [`TxSets`]; empty while a transaction holds them.
+    static SPARE: std::cell::Cell<Option<TxSets>> = const { std::cell::Cell::new(None) };
+}
+
+impl TxSets {
+    /// The thread's retained sets, or fresh ones when a running
+    /// transaction of this thread holds them (nested `atomic`) or a
+    /// panic dropped them.
+    fn take() -> TxSets {
+        SPARE.with(std::cell::Cell::take).unwrap_or_default()
+    }
+
+    /// Empties the sets and hands them back to the thread, freeing them
+    /// if they grew past [`RETAINED_CAP`].
+    fn give_back(mut self) {
+        self.clear();
+        if self.accesses.capacity() > RETAINED_CAP || self.written.capacity() > RETAINED_CAP {
+            self = TxSets::default();
+        }
+        SPARE.with(|spare| spare.set(Some(self)));
+    }
+
+    fn clear(&mut self) {
+        self.accesses.clear();
+        self.written.clear();
+    }
+}
+
 /// One transaction attempt.
 pub struct Tl2Tx<'rt> {
     rt: &'rt Tl2Runtime,
     /// Read validity horizon.
     rv: u64,
-    /// Cell pointer → (cell, version at first read).
-    reads: HashMap<usize, (Arc<Cell>, u64)>,
-    /// Cell pointer → (cell, buffered value); order is irrelevant because
-    /// commit sorts by address.
-    writes: HashMap<usize, (Arc<Cell>, ErasedVal)>,
+    sets: TxSets,
     /// The classic TL2 read-only mode: no read set, no extension,
     /// updates forbidden.
     read_only: bool,
@@ -194,12 +305,9 @@ impl Tl2Tx<'_> {
     /// advances `rv` (LSA-style extension).
     fn extend(&mut self) -> StmResult<()> {
         let now = self.rt.clock.load(Ordering::SeqCst);
-        self.local.validation_steps += self.reads.len() as u64;
-        for (cell, seen) in self.reads.values() {
-            let vl = cell.vlock.load(Ordering::Acquire);
-            if is_locked(vl) || version_of(vl) != *seen {
-                return Err(Abort);
-            }
+        self.local.validation_steps += self.sets.accesses.len() as u64;
+        if !self.sets.accesses.values().all(|a| a.unchanged(false)) {
+            return Err(Abort);
         }
         self.rv = now;
         self.local.extensions += 1;
@@ -207,79 +315,42 @@ impl Tl2Tx<'_> {
     }
 
     fn commit(&mut self) -> StmResult<()> {
-        if self.writes.is_empty() {
+        let TxSets { accesses, written } = &mut self.sets;
+        if written.is_empty() {
             return Ok(());
         }
         // Lock the write set in address order with a bounded trylock.
-        let mut targets: Vec<&(Arc<Cell>, ErasedVal)> = self.writes.values().collect();
-        targets.sort_by_key(|(cell, _)| Arc::as_ptr(cell) as usize);
-        let mut held: Vec<&Arc<Cell>> = Vec::with_capacity(targets.len());
-        for (cell, _) in &targets {
-            let mut acquired = false;
-            for _ in 0..128 {
-                let vl = cell.vlock.load(Ordering::Acquire);
-                if is_locked(vl) {
-                    std::hint::spin_loop();
-                    continue;
-                }
-                if version_of(vl) > self.rv {
-                    break; // Someone committed past us; abort.
-                }
-                if cell
-                    .vlock
-                    .compare_exchange(vl, vl | LOCKED, Ordering::AcqRel, Ordering::Acquire)
-                    .is_ok()
-                {
-                    acquired = true;
-                    break;
-                }
-            }
-            if !acquired {
-                for c in &held {
-                    let vl = c.vlock.load(Ordering::Relaxed);
-                    c.vlock.store(vl & !LOCKED, Ordering::Release);
-                }
+        written.sort_unstable();
+        let release = |held: &[usize]| held.iter().for_each(|key| accesses[key].cell.unlock());
+        for (held, key) in written.iter().enumerate() {
+            if !accesses[key].cell.try_lock(self.rv) {
+                release(&written[..held]);
                 return Err(Abort);
             }
-            held.push(cell);
         }
 
         let wv = self.rt.clock.fetch_add(1, Ordering::SeqCst) + 1;
 
         // Validate the read set once (skippable when nothing committed in
-        // between).
+        // between). Cells we locked only need their version checked.
         if wv != self.rv + 1 {
-            self.local.validation_steps += self.reads.len() as u64;
-            for (key, (cell, seen)) in &self.reads {
-                if self.writes.contains_key(key) {
-                    // Locked by us; version check below still applies.
-                    if version_of(cell.vlock.load(Ordering::Acquire)) != *seen {
-                        self.release(&held);
-                        return Err(Abort);
-                    }
-                    continue;
-                }
-                let vl = cell.vlock.load(Ordering::Acquire);
-                if is_locked(vl) || version_of(vl) != *seen {
-                    self.release(&held);
-                    return Err(Abort);
-                }
+            self.local.validation_steps += accesses.len() as u64;
+            if !accesses.values().all(|a| a.unchanged(a.buffered.is_some())) {
+                release(written);
+                return Err(Abort);
             }
         }
 
         // Write back and release with the new version.
-        for (cell, value) in &targets {
-            *cell.value.write() = value.clone();
-            cell.vlock.store(wv << 1, Ordering::Release);
+        for key in written.iter() {
+            let access = accesses
+                .get_mut(key)
+                .expect("written cells are in the read set");
+            *access.cell.value.write() =
+                access.buffered.take().expect("written cells hold a value");
+            access.cell.vlock.store(wv << 1, Ordering::Release);
         }
         Ok(())
-    }
-
-    fn release(&self, held: &[&Arc<Cell>]) {
-        for c in held {
-            let vl = c.vlock.load(Ordering::Relaxed);
-            c.vlock.store(vl & !LOCKED, Ordering::Release);
-        }
     }
 
     /// Samples a cell within the `rv` horizon, extending when allowed.
@@ -296,6 +367,13 @@ impl Tl2Tx<'_> {
             // `rv` advanced; re-sample (the cell may be mid-commit).
         }
     }
+}
+
+/// Clones a committed value and applies `f` to the copy.
+fn copy_on_write<T: TxVal>(value: ErasedVal, f: impl FnOnce(&mut T)) -> ErasedVal {
+    let mut fresh = (*downcast::<T>(value)).clone();
+    f(&mut fresh);
+    Arc::new(fresh)
 }
 
 impl StmRuntime for Tl2Runtime {
@@ -326,21 +404,23 @@ impl StmRuntime for Tl2Runtime {
             return Ok(downcast(value));
         }
         let key = Arc::as_ptr(&var.cell) as usize;
-        if let Some((_, buffered)) = tx.writes.get(&key) {
-            return Ok(downcast(buffered.clone()));
+        if let Some(access) = tx.sets.accesses.get(&key) {
+            return match &access.buffered {
+                Some(buffered) => Ok(downcast(buffered.clone())),
+                // Already read; the version cannot have changed without
+                // commit, which validation will catch — return the
+                // committed value.
+                None => access.resample().map(downcast),
+            };
         }
-        if let Some((cell, seen)) = tx.reads.get(&key) {
-            // Already read; the version cannot have changed without commit,
-            // which validation will catch — return the committed value.
-            let (ver, value) = cell.sample()?;
-            if ver != *seen {
-                return Err(Abort);
-            }
-            return Ok(downcast(value));
-        }
-        let (ver, value) = tx.consistent_sample(&var.cell)?;
+        let (seen, value) = tx.consistent_sample(&var.cell)?;
         tx.local.reads += 1;
-        tx.reads.insert(key, (Arc::clone(&var.cell), ver));
+        let access = Access {
+            cell: Arc::clone(&var.cell),
+            seen,
+            buffered: None,
+        };
+        tx.sets.accesses.insert(key, access);
         Ok(downcast(value))
     }
 
@@ -354,36 +434,31 @@ impl StmRuntime for Tl2Runtime {
             "update inside a transaction declared read-only"
         );
         let key = Arc::as_ptr(&var.cell) as usize;
-        if let Some(entry) = tx.writes.get_mut(&key) {
-            // Take the buffered Arc out so its refcount is 1 and
-            // `make_mut` mutates in place instead of deep-cloning on
-            // every re-open.
-            let placeholder: ErasedVal = Arc::new(());
-            let buffered = std::mem::replace(&mut entry.1, placeholder);
-            let mut arc_t: Arc<T> = downcast(buffered);
-            f(Arc::make_mut(&mut arc_t));
-            entry.1 = arc_t;
-            return Ok(());
-        }
-        // Base the clone on a consistent snapshot; commit re-verifies the
-        // version under the write lock.
-        let current: Arc<T> = if let Some((cell, seen)) = tx.reads.get(&key) {
-            let (ver, value) = cell.sample()?;
-            if ver != *seen {
-                return Err(Abort);
+        if let Some(access) = tx.sets.accesses.get_mut(&key) {
+            if let Some(buffered) = &mut access.buffered {
+                // Re-open: mutate the buffered value in place, unless a
+                // read handed out a handle to it that must not change.
+                match Arc::get_mut(buffered).and_then(|v| v.downcast_mut::<T>()) {
+                    Some(value) => f(value),
+                    None => *buffered = copy_on_write(buffered.clone(), f),
+                }
+                return Ok(());
             }
-            downcast(value)
+            // Base the clone on a consistent snapshot; commit re-verifies
+            // the version under the write lock.
+            access.buffered = Some(copy_on_write(access.resample()?, f));
         } else {
-            let (ver, value) = tx.consistent_sample(&var.cell)?;
-            tx.reads.insert(key, (Arc::clone(&var.cell), ver));
-            downcast(value)
-        };
-        let mut fresh = (*current).clone();
+            let (seen, value) = tx.consistent_sample(&var.cell)?;
+            let access = Access {
+                cell: Arc::clone(&var.cell),
+                seen,
+                buffered: Some(copy_on_write(value, f)),
+            };
+            tx.sets.accesses.insert(key, access);
+        }
         tx.local.clones += 1;
-        f(&mut fresh);
         tx.local.writes += 1;
-        tx.writes
-            .insert(key, (Arc::clone(&var.cell), Arc::new(fresh) as ErasedVal));
+        tx.sets.written.push(key);
         Ok(())
     }
 
@@ -422,6 +497,179 @@ mod tests {
         });
         assert_eq!(out, 6);
         assert_eq!(rt.atomic(|tx| Ok(*Rt::read(tx, &v)?)), 6);
+    }
+
+    /// Pins what every counter counts, so a change to the transaction's
+    /// bookkeeping cannot silently redefine `stm.reads_per_commit` or
+    /// `stm.validation_steps_per_commit`. The abort is forced by commits
+    /// of nested transactions on the same thread, which also drive one
+    /// extension and one commit-time validation.
+    #[test]
+    fn accounting_is_pinned() {
+        let rt = Rt::default();
+        let (a, b, c) = (rt.new_var(1u64), rt.new_var(2u64), rt.new_var(3u64));
+
+        // Read-only fast path: every read counts, repeats included.
+        let sum = rt.atomic_read_only(|tx| {
+            Ok(*Rt::read(tx, &a)? + *Rt::read(tx, &b)? + *Rt::read(tx, &a)?)
+        });
+        assert_eq!(sum, 4);
+
+        // Repeat read and read-your-writes count nothing; a re-opened
+        // write neither clones nor counts again.
+        let seen = rt.atomic(|tx| {
+            let first = *Rt::read(tx, &a)?;
+            let again = *Rt::read(tx, &a)?;
+            Rt::update(tx, &b, |n| *n *= 10)?;
+            let own = *Rt::read(tx, &b)?;
+            Rt::update(tx, &b, |n| *n += 1)?;
+            Rt::update(tx, &a, |n| *n += 5)?;
+            Ok((first, again, own, *Rt::read(tx, &c)?))
+        });
+        assert_eq!(seen, (1, 1, 20, 3));
+
+        // Attempt 1 reads a and b, meets a nested commit to c (one
+        // extension over 2 entries), then a nested commit to b makes its
+        // commit-time validation (3 entries) fail. Attempt 2 commits.
+        let tried = AtomicBool::new(false);
+        let out = rt.atomic(|tx| {
+            let first = !tried.swap(true, Ordering::Relaxed);
+            let x = *Rt::read(tx, &a)? + *Rt::read(tx, &b)?;
+            if first {
+                rt.atomic(|inner| Rt::update(inner, &c, |n| *n += 100));
+            }
+            let y = *Rt::read(tx, &c)?;
+            if first {
+                rt.atomic(|inner| Rt::update(inner, &b, |n| *n += 1000));
+            }
+            Rt::update(tx, &a, |n| *n += 1)?;
+            Ok(x + y)
+        });
+        assert_eq!(out, 6 + 1021 + 103);
+        assert_eq!(*rt.read_quiesced(&a), 7);
+
+        assert_eq!(
+            rt.snapshot(),
+            StatsSnapshot {
+                starts: 6,
+                commits: 5,
+                aborts: 1,
+                reads: 11,
+                writes: 6,
+                validation_steps: 5,
+                clones: 6,
+                extensions: 1,
+                enemy_aborts: 0,
+            }
+        );
+    }
+
+    /// The capacity this thread's idle sets retain; they must be empty.
+    fn retained_capacity() -> usize {
+        SPARE.with(|spare| {
+            let sets = spare.take().unwrap_or_default();
+            assert!(sets.accesses.is_empty() && sets.written.is_empty());
+            let cap = sets.accesses.capacity().max(sets.written.capacity());
+            spare.set(Some(sets));
+            cap
+        })
+    }
+
+    #[test]
+    fn retry_sees_no_stale_entries() {
+        let rt = Rt::default();
+        let (x, y) = (rt.new_var(0u32), rt.new_var(0u32));
+        let attempts = std::cell::Cell::new(0);
+        let seen_x = rt.atomic(|tx| {
+            attempts.set(attempts.get() + 1);
+            if attempts.get() == 1 {
+                Rt::update(tx, &x, |n| *n = 99)?;
+                return Err(Abort);
+            }
+            // A commit to x mid-attempt fails this attempt's validation
+            // only if x lingered in the read set.
+            let _ = Rt::read(tx, &y)?;
+            rt.atomic(|inner| Rt::update(inner, &x, |n| *n += 1));
+            Rt::update(tx, &y, |n| *n += 1)?;
+            Ok(*rt.read_quiesced(&x))
+        });
+        assert_eq!(attempts.get(), 2, "a stale read entry failed the retry");
+        assert_eq!(seen_x, 1, "the aborted attempt's write leaked");
+        assert_eq!((*rt.read_quiesced(&x), *rt.read_quiesced(&y)), (1, 1));
+    }
+
+    #[test]
+    fn panicking_body_leaves_the_thread_usable() {
+        let rt = Rt::default();
+        let (v, w) = (rt.new_var(0u32), rt.new_var(0u32));
+        let ro = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            rt.atomic_read_only(|tx| Rt::update(tx, &v, |n| *n += 1))
+        }));
+        assert!(ro.is_err());
+        let rw = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            rt.atomic(|tx| -> StmResult<()> {
+                let _ = Rt::read(tx, &v)?;
+                Rt::update(tx, &w, |n| *n += 1)?;
+                panic!("body fails with populated sets")
+            })
+        }));
+        assert!(rw.is_err());
+        assert_eq!(Arc::strong_count(&v.cell), 1, "the panicked sets leaked");
+        rt.atomic(|tx| {
+            Rt::update(tx, &v, |n| *n += 1)?;
+            Rt::update(tx, &w, |n| *n += 2)
+        });
+        assert_eq!((*rt.read_quiesced(&v), *rt.read_quiesced(&w)), (1, 2));
+    }
+
+    #[test]
+    fn nested_atomic_on_a_second_runtime_keeps_both_sets() {
+        let (outer, inner) = (Rt::default(), Rt::default());
+        let a = outer.new_var(1u32);
+        let b = inner.new_var(10u32);
+        let out = outer.atomic(|tx| {
+            Rt::update(tx, &a, |n| *n += 1)?;
+            let nested = inner.atomic(|itx| {
+                Rt::update(itx, &b, |n| *n += 1)?;
+                Ok(*Rt::read(itx, &b)?)
+            });
+            // The outer write is still buffered and read back.
+            Ok((*Rt::read(tx, &a)?, nested))
+        });
+        assert_eq!(out, (2, 11));
+        assert_eq!(
+            (*outer.read_quiesced(&a), *inner.read_quiesced(&b)),
+            (2, 11)
+        );
+        assert_eq!(outer.snapshot().writes, 1);
+        assert_eq!(inner.snapshot().writes, 1);
+    }
+
+    #[test]
+    fn oversized_transaction_frees_its_sets() {
+        let rt = Rt::default();
+        let vars: Vec<_> = (0..10_000u64).map(|i| rt.new_var(i)).collect();
+        rt.atomic(|tx| {
+            let mut sum = 0;
+            for (i, v) in vars.iter().enumerate() {
+                sum += *Rt::read(tx, v)?;
+                if i % 10 == 0 {
+                    Rt::update(tx, v, |n| *n += 1)?;
+                }
+            }
+            Ok(sum)
+        });
+        assert!(retained_capacity() <= RETAINED_CAP);
+        let small = rt.atomic(|tx| {
+            Rt::update(tx, &vars[1], |n| *n += 1)?;
+            Ok(*Rt::read(tx, &vars[0])? + *Rt::read(tx, &vars[1])?)
+        });
+        assert_eq!(small, 1 + 2);
+        assert!(retained_capacity() <= RETAINED_CAP);
+        assert!(
+            vars.iter().all(|v| Arc::strong_count(&v.cell) == 1),
+            "the retained sets hold a cell"
+        );
     }
 
     #[test]

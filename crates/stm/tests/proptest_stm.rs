@@ -1,4 +1,4 @@
-//! Property tests for both STM runtimes.
+//! Property tests for the three STM runtimes.
 //!
 //! Single-threaded: a random program of reads/updates over a small heap
 //! must behave exactly like a `Vec<u64>` model, for every runtime and
@@ -12,7 +12,7 @@ use proptest::prelude::*;
 
 use stmbench7_stm::astm::AstmConfig;
 use stmbench7_stm::tl2::Tl2Config;
-use stmbench7_stm::{AstmRuntime, ContentionManager, StmRuntime, Tl2Runtime};
+use stmbench7_stm::{AstmRuntime, ContentionManager, NorecRuntime, StmRuntime, Tl2Runtime};
 
 #[derive(Clone, Debug)]
 enum Step {
@@ -89,6 +89,14 @@ proptest! {
     }
 
     #[test]
+    fn norec_matches_model(
+        program in proptest::collection::vec(
+            proptest::collection::vec(arb_step(8), 1..12), 1..12),
+    ) {
+        check_against_model(&NorecRuntime::new(), &program);
+    }
+
+    #[test]
     fn astm_matches_model(
         program in proptest::collection::vec(
             proptest::collection::vec(arb_step(8), 1..12), 1..12),
@@ -150,6 +158,13 @@ proptest! {
         transfers in proptest::collection::vec((any::<u8>(), any::<u8>(), any::<u8>()), 16..64),
     ) {
         concurrent_conservation(Arc::new(Tl2Runtime::default()), transfers);
+    }
+
+    #[test]
+    fn norec_conserves_under_threads(
+        transfers in proptest::collection::vec((any::<u8>(), any::<u8>(), any::<u8>()), 16..64),
+    ) {
+        concurrent_conservation(Arc::new(NorecRuntime::new()), transfers);
     }
 
     #[test]
