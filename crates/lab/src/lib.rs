@@ -28,8 +28,7 @@ pub mod stats;
 
 pub use compare::{compare_documents, Comparison, Tolerance};
 pub use run::{
-    check_slos, format_supported, run_spec, CellResult, RepResult, SloCheck, SpecResult, FORMAT,
-    FORMAT_V1, FORMAT_V2,
+    check_format, check_slos, run_spec, CellResult, RepResult, SloCheck, SpecResult, FORMAT,
 };
 pub use spec::{grid, net_grid, service_grid, Cell, ExperimentSpec, NetPlan, ServicePlan, Slo};
 pub use stats::Summary;

@@ -12,49 +12,20 @@ use crate::spec::{Cell, ExperimentSpec};
 use crate::stats::Summary;
 
 /// The version tag every results document leads with; bump on any
-/// incompatible schema change. Version 7 adds the per-cell `timeseries`
-/// array (one flight-recorder window series per repetition, null for
-/// unwindowed cells) and the `slo` object echoing the cell's windowed
-/// latency objective; readers accept [`FORMAT_V6`], [`FORMAT_V5`],
-/// [`FORMAT_V4`], [`FORMAT_V3`], [`FORMAT_V2`] and [`FORMAT_V1`]
-/// documents unchanged.
+/// incompatible schema change. Readers accept this version only: a
+/// document of another version is re-run, never read.
 pub const FORMAT: &str = "stmbench7-lab/7";
 
-/// Version 6 (adds the `write_batches`/`max_write_batch`/`steals`
-/// counters to `service` objects), still accepted by every reader.
-pub const FORMAT_V6: &str = "stmbench7-lab/6";
-
-/// Version 5 (adds the per-cell `contention` object and the
-/// `busy_ns`/`idle_ns`/`trace_dropped` counters to `service` objects),
-/// still accepted by every reader.
-pub const FORMAT_V5: &str = "stmbench7-lab/5";
-
-/// Version 4 (adds the `reconnects` counter to `service` objects), still
-/// accepted by every reader.
-pub const FORMAT_V4: &str = "stmbench7-lab/4";
-
-/// Version 3 (adds the `network_us` lane and the per-category
-/// `categories` split to `service` objects), still accepted by every
-/// reader.
-pub const FORMAT_V3: &str = "stmbench7-lab/3";
-
-/// Version 2 (the service layer's format: per-cell `service` objects,
-/// no network lane or category split), still accepted by every reader.
-pub const FORMAT_V2: &str = "stmbench7-lab/2";
-
-/// Version 1 (no `service` objects at all), still accepted by every
-/// reader.
-pub const FORMAT_V1: &str = "stmbench7-lab/1";
-
-/// True for every document version this crate can read.
-pub fn format_supported(format: &str) -> bool {
-    format == FORMAT
-        || format == FORMAT_V6
-        || format == FORMAT_V5
-        || format == FORMAT_V4
-        || format == FORMAT_V3
-        || format == FORMAT_V2
-        || format == FORMAT_V1
+/// Checks that `doc` is a results document this crate can read, i.e.
+/// one whose `format` is [`FORMAT`].
+pub fn check_format(doc: &JsonValue) -> Result<(), String> {
+    match doc.get("format").and_then(JsonValue::as_str) {
+        Some(FORMAT) => Ok(()),
+        Some(other) => Err(format!(
+            "unsupported results format {other:?} (expected {FORMAT:?})"
+        )),
+        None => Err("document has no \"format\" field".to_string()),
+    }
 }
 
 /// One measured repetition, condensed.
@@ -281,8 +252,9 @@ pub struct SloCheck {
     pub key: String,
     /// The declared objective.
     pub slo: crate::spec::Slo,
-    /// Windows (with at least one latency sample) whose p99 exceeded
-    /// the bound.
+    /// Windows with at least one latency sample, across repetitions.
+    pub windows: u64,
+    /// Sampled windows whose p99 exceeded the bound.
     pub violations: u64,
     /// Worst per-window p99 observed, in microseconds.
     pub worst_p99_us: u64,
@@ -293,29 +265,30 @@ pub struct SloCheck {
 }
 
 impl SloCheck {
-    /// True when the cell met its objective.
+    /// True when the cell met its objective. A cell that sampled no
+    /// window (an SLO without `window_ms`) fails: its objective was
+    /// never checked.
     pub fn pass(&self) -> bool {
-        self.violations <= self.slo.max_violation_windows
+        self.windows > 0 && self.violations <= self.slo.max_violation_windows
     }
 }
 
 /// Evaluates every cell that declares a windowed SLO against its own
-/// flight-recorder series. Cells without an SLO are skipped; a cell
-/// with an SLO but no timeseries (mis-specified: no `window_ms`) counts
-/// every repetition as violating nothing but reports `worst_p99_us` 0 —
-/// the caller should treat an empty series as a spec bug.
+/// flight-recorder series. Cells without an SLO are skipped.
 pub fn check_slos(result: &SpecResult) -> Vec<SloCheck> {
     result
         .cells
         .iter()
         .filter_map(|cell| {
             let slo = cell.cell.slo?;
+            let mut windows = 0u64;
             let mut violations = 0u64;
             let mut worst = 0u64;
             for window in cell.timeseries.iter().flat_map(|ts| &ts.windows) {
                 if window.latency.samples == 0 {
                     continue;
                 }
+                windows += 1;
                 worst = worst.max(window.latency.p99_us);
                 if window.latency.p99_us > slo.p99_us {
                     violations += 1;
@@ -324,6 +297,7 @@ pub fn check_slos(result: &SpecResult) -> Vec<SloCheck> {
             Some(SloCheck {
                 key: cell.cell.key(),
                 slo,
+                windows,
                 violations,
                 worst_p99_us: worst,
                 aggregate_p99_us: cell
@@ -678,19 +652,6 @@ mod tests {
     }
 
     #[test]
-    fn all_format_versions_are_supported() {
-        assert!(format_supported(FORMAT));
-        assert!(format_supported(FORMAT_V6));
-        assert!(format_supported(FORMAT_V5));
-        assert!(format_supported(FORMAT_V4));
-        assert!(format_supported(FORMAT_V3));
-        assert!(format_supported(FORMAT_V2));
-        assert!(format_supported(FORMAT_V1));
-        assert!(!format_supported("stmbench7-lab/8"));
-        assert!(!format_supported("other/1"));
-    }
-
-    #[test]
     fn net_cells_run_over_loopback_and_serialize_the_network_lane() {
         use crate::spec::NetPlan;
         use stmbench7_service::Schedule;
@@ -824,6 +785,23 @@ mod tests {
         let json_cell = &doc.get("cells").unwrap().as_array().unwrap()[0];
         assert_eq!(json_cell.get("timeseries"), Some(&JsonValue::Null));
         assert_eq!(json_cell.get("slo"), Some(&JsonValue::Null));
+    }
+
+    #[test]
+    fn an_slo_without_sampled_windows_fails() {
+        use crate::spec::Slo;
+
+        let mut spec = tiny_spec();
+        spec.repetitions = 1;
+        spec.cells[0].window_ms = None;
+        spec.cells[0].slo = Some(Slo {
+            p99_us: u64::MAX,
+            max_violation_windows: u64::MAX,
+        });
+        let checks = check_slos(&run_spec(&spec, |_| {}));
+        assert_eq!(checks.len(), 1);
+        assert_eq!(checks[0].windows, 0);
+        assert!(!checks[0].pass(), "an unchecked objective must not pass");
     }
 
     #[test]

@@ -159,7 +159,7 @@ pub struct Cell {
     pub trace: bool,
     /// Flight-recorder window for this cell, in milliseconds. Like
     /// `trace`, NOT part of [`Cell::key`]: a windowed run is the same
-    /// experiment observed, so the sampler-overhead gate can compare a
+    /// experiment observed, so the sampler overhead gate can compare a
     /// windowed run against an unwindowed baseline.
     pub window_ms: Option<u64>,
     /// Windowed SLO this cell must meet (requires `window_ms`). Also

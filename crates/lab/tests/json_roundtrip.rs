@@ -129,44 +129,6 @@ fn service_report_round_trips_the_latency_split() {
 }
 
 #[test]
-fn version_1_documents_still_read_and_gate() {
-    use stmbench7_lab::{compare_documents, format_supported, Tolerance, FORMAT_V1};
-
-    // A hand-written v1 document, exactly as the pre-service binary
-    // emitted it: no `service` keys anywhere.
-    let v1_text = r#"{
-  "format": "stmbench7-lab/1",
-  "spec": "smoke",
-  "cells": [
-    {
-      "key": "coarse/rw/1t",
-      "completed": 1000,
-      "throughput": {
-        "median": 5000.0
-      }
-    }
-  ]
-}"#;
-    let v1 = parse(v1_text).expect("v1 documents must parse");
-    assert_eq!(
-        v1.get("format").and_then(JsonValue::as_str),
-        Some(FORMAT_V1)
-    );
-    assert!(format_supported(FORMAT_V1));
-
-    // v1 as baseline against a v2 current document.
-    let current = parse(
-        &v1_text
-            .replace("stmbench7-lab/1", "stmbench7-lab/2")
-            .replace("5000.0", "4800.0"),
-    )
-    .unwrap();
-    let cmp = compare_documents(&v1, &current, Tolerance(1.25)).unwrap();
-    assert!(cmp.ok(), "4% slowdown is within 25% tolerance");
-    assert_eq!(cmp.cells.len(), 1);
-}
-
-#[test]
 fn rendering_is_stable_through_a_parse_cycle() {
     let report = real_report(BackendChoice::Medium);
     let first = report.to_json_value().render();

@@ -415,9 +415,9 @@ pub const COMMANDS: &[Command] = &[
                 \n\
                 Cells that declare an `slo` (a windowed p99 objective) are checked after\n\
                 the run: a window breaches when its p99 exceeds the objective, and the\n\
-                cell fails when more windows breach than the objective allows. Under\n\
-                --compare, any failed SLO check fails the gate alongside throughput\n\
-                regressions.\n",
+                cell fails when more windows breach than the objective allows, or when\n\
+                it sampled no window at all. Any failed SLO check exits 1, with or\n\
+                without --compare.\n",
         operand: Some(flag(
             "<spec>",
             0,

@@ -199,7 +199,8 @@ fn trace_file_stem(key: &str) -> String {
         .collect()
 }
 
-/// `lab`: run a registry spec, write its results, gate on a baseline.
+/// `lab`: run a registry spec, write its results, gate on its windowed
+/// SLOs and, under `--compare`, on a baseline document.
 pub(super) fn lab(o: &Opts) -> Outcome {
     if o.list {
         println!("built-in lab specs:");
@@ -247,14 +248,8 @@ pub(super) fn lab(o: &Opts) -> Outcome {
             let text = std::fs::read_to_string(path)
                 .map_err(|e| failed(format!("cannot read baseline {path}: {e}")))?;
             let doc = crate::lab::json::parse(&text)
+                .and_then(|doc| crate::lab::check_format(&doc).map(|()| doc))
                 .map_err(|e| failed(format!("baseline {path}: {e}")))?;
-            let format = doc.get("format").and_then(|f| f.as_str());
-            if !format.is_some_and(crate::lab::format_supported) {
-                return Err(failed(format!(
-                    "baseline {path} has format {format:?}, expected {:?} or older",
-                    crate::lab::FORMAT
-                )));
-            }
             Some(doc)
         }
     };
@@ -285,14 +280,17 @@ pub(super) fn lab(o: &Opts) -> Outcome {
         );
     }
 
-    // Windowed SLO checks: printed for every run so the per-window tail
-    // is visible, but they only *gate* (exit nonzero) under --compare,
-    // mirroring the throughput regression gate.
+    // Windowed SLO checks gate every run (exit 1 on a failing cell),
+    // with or without --compare.
     let slo_checks = check_slos(&result);
     if !slo_checks.is_empty() {
         println!("\nwindowed SLO checks (p99 per window):");
     }
     for check in &slo_checks {
+        if check.windows == 0 {
+            println!("  FAIL {}: no windows sampled", check.key);
+            continue;
+        }
         let aggregate = check
             .aggregate_p99_us
             .map_or_else(|| "n/a".to_string(), |us| format!("{us} us"));
@@ -337,10 +335,10 @@ pub(super) fn lab(o: &Opts) -> Outcome {
         if !comparison.ok() {
             return Ok(ExitCode::FAILURE);
         }
-        if slo_checks.iter().any(|c| !c.pass()) {
-            eprintln!("SLO gate failed: a cell breached its windowed p99 objective");
-            return Ok(ExitCode::FAILURE);
-        }
+    }
+    if slo_checks.iter().any(|c| !c.pass()) {
+        eprintln!("SLO gate failed: a cell missed its windowed p99 objective");
+        return Ok(ExitCode::FAILURE);
     }
     Ok(ExitCode::SUCCESS)
 }
