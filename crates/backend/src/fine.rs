@@ -57,7 +57,8 @@
 //! This cost — an extra uncommitted execution of every operation, plus
 //! sorting — is exactly the "additional overhead which, together with the
 //! significant engineering cost, would be difficult to justify" that the
-//! paper predicts; the `ultimate_baseline` bench quantifies it.
+//! paper predicts; the `ultimate_baseline` row of the lab's
+//! `registry::CATALOG` (`stmbench7 lab ultimate_baseline`) quantifies it.
 
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};

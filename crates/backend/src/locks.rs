@@ -26,19 +26,14 @@ use parking_lot::{Mutex, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 use stmbench7_obs::{ContentionCounters, ContentionSnapshot, EventKind, Layer, Recorder};
 
-use stmbench7_data::access::PoolKind;
 use stmbench7_data::btree::BTree;
 use stmbench7_data::sharded::MAX_SHARDS;
 use stmbench7_data::spec::{AccessSpec, Mode, MAX_LEVELS};
 use stmbench7_data::workspace::{
-    AtomicGroup, BaseGroup, ComplexLevelGroup, CompositeGroup, DirectTx, DocGroup, SmState, Store,
-    Workspace,
+    AtomicGroup, AtomicSlice, BaseGroup, ComplexLevelGroup, CompositeGroup, DirectTx, DocGroup,
+    LockGroups, SmState, Store, Workspace,
 };
-use stmbench7_data::{
-    AtomicPart, AtomicPartId, BaseAssembly, BaseAssemblyId, ComplexAssembly, ComplexAssemblyId,
-    CompositePart, CompositePartId, Document, DocumentId, Manual, Module, Sb7Tx, StructureParams,
-    TxErr, TxR,
-};
+use stmbench7_data::{AtomicPart, Manual, Module, StructureParams, TxErr, TxR};
 
 use crate::{Backend, TxOperation};
 
@@ -231,10 +226,21 @@ impl AtomicLockShard {
         raw / self.shards as u32
     }
 
+    /// Fills the store during construction, when the index slices are
+    /// already populated (they arrive pre-split from the workspace).
+    fn create_store_only(&mut self, raw: u32, p: AtomicPart) {
+        let local = self.local(raw);
+        self.store.insert(local, p);
+    }
+}
+
+impl AtomicSlice for AtomicLockShard {
+    #[inline]
     fn get(&self, raw: u32) -> Option<&AtomicPart> {
         self.store.get(self.local(raw))
     }
 
+    #[inline]
     fn get_mut(&mut self, raw: u32) -> Option<&mut AtomicPart> {
         let local = self.local(raw);
         self.store.get_mut(local)
@@ -256,13 +262,6 @@ impl AtomicLockShard {
         Some(p)
     }
 
-    /// Fills the store during construction, when the index slices are
-    /// already populated (they arrive pre-split from the workspace).
-    fn create_store_only(&mut self, raw: u32, p: AtomicPart) {
-        let local = self.local(raw);
-        self.store.insert(local, p);
-    }
-
     fn set_date(&mut self, raw: u32, date: i32) -> bool {
         let local = self.local(raw);
         let Some(p) = self.store.get_mut(local) else {
@@ -273,6 +272,20 @@ impl AtomicLockShard {
         self.by_date.remove(&(old, raw));
         self.by_date.insert((date, raw), ());
         true
+    }
+
+    #[inline]
+    fn contains(&self, raw: u32) -> bool {
+        self.by_id.contains(&raw)
+    }
+
+    fn for_date_range(&self, lo: i32, hi: i32, mut f: impl FnMut((i32, u32))) {
+        self.by_date
+            .for_range(&(lo, 0), &(hi, u32::MAX), |k, _| f(*k));
+    }
+
+    fn for_each_id(&self, mut f: impl FnMut(u32)) {
+        self.by_id.for_each(|raw, _| f(*raw));
     }
 }
 
@@ -481,7 +494,9 @@ impl<'a, T> Guard<'a, T> {
 /// The medium-grained transaction: a set of held guards (one per atomic
 /// shard for the atomic-part group). The guard sets are fixed-capacity
 /// stack arrays sized for the workspace maxima; `complex_levels` and
-/// `shards` record how many slots are actually configured.
+/// `shards` record how many slots are actually configured. It implements
+/// only the [`LockGroups`] getters; its `Sb7Tx` accessors are the shared
+/// body in `stmbench7_data::workspace`.
 pub struct MediumTx<'a> {
     module: &'a Module,
     sm: Guard<'a, SmState>,
@@ -495,386 +510,101 @@ pub struct MediumTx<'a> {
     manual: Guard<'a, Manual>,
 }
 
-const MISSING: TxErr = TxErr::Invariant("object not found");
+const LEVEL_RANGE: TxErr = TxErr::Invariant("assembly level out of range");
 
-impl MediumTx<'_> {
-    /// The held shard an atomic raw id routes to; `Invariant` when the
-    /// operation did not declare that shard (a narrowing bug — the
-    /// backend panics on it, exactly as for undeclared groups).
-    fn atomic_shard(&self, raw: u32) -> TxR<&AtomicLockShard> {
-        self.atomics[raw as usize % self.shards].get()
+/// Medium's groups are the held guards; a group without a guard, or
+/// written under a read guard, is refused with `TxErr::Invariant`.
+impl LockGroups for MediumTx<'_> {
+    type Atomics = AtomicLockShard;
+
+    #[inline]
+    fn module_ref(&self) -> &Module {
+        self.module
     }
-
-    /// Mutable variant of [`MediumTx::atomic_shard`].
-    fn atomic_shard_mut(&mut self, raw: u32) -> TxR<&mut AtomicLockShard> {
-        let shard = raw as usize % self.shards;
-        self.atomics[shard].get_mut()
-    }
-
-    fn complex_group(&self, level: u8) -> TxR<&ComplexLevelGroup> {
-        self.complexes[..self.complex_levels]
-            .get(usize::from(level) - 2)
-            .ok_or(TxErr::Invariant("assembly level out of range"))?
-            .get()
-    }
-
-    fn complex_group_mut(&mut self, level: u8) -> TxR<&mut ComplexLevelGroup> {
-        self.complexes[..self.complex_levels]
-            .get_mut(usize::from(level) - 2)
-            .ok_or(TxErr::Invariant("assembly level out of range"))?
-            .get_mut()
-    }
-
-    fn complex_level_of(&self, raw: u32) -> TxR<u8> {
-        self.sm
-            .get()?
-            .complex_index
-            .get(&raw)
-            .copied()
-            .ok_or(MISSING)
-    }
-}
-
-impl Sb7Tx for MediumTx<'_> {
-    fn module<R>(&mut self, f: impl FnOnce(&Module) -> R) -> TxR<R> {
-        Ok(f(self.module))
-    }
-
-    fn manual_text_len(&mut self) -> TxR<usize> {
-        Ok(self.manual.get()?.text.len())
-    }
-
-    fn manual_count_char(&mut self, c: char) -> TxR<usize> {
-        Ok(stmbench7_data::text::count_char(
-            &self.manual.get()?.text,
-            c,
-        ))
-    }
-
-    fn manual_first_last_equal(&mut self) -> TxR<bool> {
-        Ok(stmbench7_data::text::first_last_equal(
-            &self.manual.get()?.text,
-        ))
-    }
-
-    fn manual_swap_case(&mut self) -> TxR<usize> {
-        Ok(stmbench7_data::text::swap_manual_case(
-            &mut self.manual.get_mut()?.text,
-        ))
-    }
-
-    fn set_design_root(&mut self, _root: ComplexAssemblyId) -> TxR<()> {
+    #[inline]
+    fn module_mut(&mut self) -> TxR<&mut Module> {
         Err(TxErr::Invariant(
             "the module is immutable once a backend is constructed",
         ))
     }
-
-    fn atomic<R>(&mut self, id: AtomicPartId, f: impl FnOnce(&AtomicPart) -> R) -> TxR<R> {
-        self.atomic_shard(id.raw())?
-            .get(id.raw())
-            .map(f)
-            .ok_or(MISSING)
+    #[inline]
+    fn sm(&self) -> TxR<&SmState> {
+        self.sm.get()
     }
-
-    fn composite<R>(&mut self, id: CompositePartId, f: impl FnOnce(&CompositePart) -> R) -> TxR<R> {
-        self.composites
-            .get()?
-            .store
-            .get(id.raw())
-            .map(f)
-            .ok_or(MISSING)
+    #[inline]
+    fn sm_mut(&mut self) -> TxR<&mut SmState> {
+        self.sm.get_mut()
     }
-
-    fn base<R>(&mut self, id: BaseAssemblyId, f: impl FnOnce(&BaseAssembly) -> R) -> TxR<R> {
-        self.bases.get()?.store.get(id.raw()).map(f).ok_or(MISSING)
+    #[inline]
+    fn manual(&self) -> TxR<&Manual> {
+        self.manual.get()
     }
-
-    fn complex<R>(
-        &mut self,
-        id: ComplexAssemblyId,
-        f: impl FnOnce(&ComplexAssembly) -> R,
-    ) -> TxR<R> {
-        let level = self.complex_level_of(id.raw())?;
-        self.complex_group(level)?
-            .store
-            .get(id.raw())
-            .map(f)
-            .ok_or(MISSING)
+    #[inline]
+    fn manual_mut(&mut self) -> TxR<&mut Manual> {
+        self.manual.get_mut()
     }
-
-    fn document<R>(&mut self, id: DocumentId, f: impl FnOnce(&Document) -> R) -> TxR<R> {
-        self.documents
-            .get()?
-            .store
-            .get(id.raw())
-            .map(f)
-            .ok_or(MISSING)
+    #[inline]
+    fn bases(&self) -> TxR<&BaseGroup> {
+        self.bases.get()
     }
-
-    fn atomic_mut<R>(&mut self, id: AtomicPartId, f: impl FnOnce(&mut AtomicPart) -> R) -> TxR<R> {
-        self.atomic_shard_mut(id.raw())?
-            .get_mut(id.raw())
-            .map(f)
-            .ok_or(MISSING)
+    #[inline]
+    fn bases_mut(&mut self) -> TxR<&mut BaseGroup> {
+        self.bases.get_mut()
     }
-
-    fn composite_mut<R>(
-        &mut self,
-        id: CompositePartId,
-        f: impl FnOnce(&mut CompositePart) -> R,
-    ) -> TxR<R> {
-        self.composites
-            .get_mut()?
-            .store
-            .get_mut(id.raw())
-            .map(f)
-            .ok_or(MISSING)
+    #[inline]
+    fn complex_level(&self, level: u8) -> TxR<&ComplexLevelGroup> {
+        self.complexes[..self.complex_levels]
+            .get(usize::from(level) - 2)
+            .ok_or(LEVEL_RANGE)?
+            .get()
     }
-
-    fn base_mut<R>(
-        &mut self,
-        id: BaseAssemblyId,
-        f: impl FnOnce(&mut BaseAssembly) -> R,
-    ) -> TxR<R> {
-        self.bases
-            .get_mut()?
-            .store
-            .get_mut(id.raw())
-            .map(f)
-            .ok_or(MISSING)
+    #[inline]
+    fn complex_level_mut(&mut self, level: u8) -> TxR<&mut ComplexLevelGroup> {
+        self.complexes[..self.complex_levels]
+            .get_mut(usize::from(level) - 2)
+            .ok_or(LEVEL_RANGE)?
+            .get_mut()
     }
-
-    fn complex_mut<R>(
-        &mut self,
-        id: ComplexAssemblyId,
-        f: impl FnOnce(&mut ComplexAssembly) -> R,
-    ) -> TxR<R> {
-        let level = self.complex_level_of(id.raw())?;
-        self.complex_group_mut(level)?
-            .store
-            .get_mut(id.raw())
-            .map(f)
-            .ok_or(MISSING)
+    #[inline]
+    fn composites(&self) -> TxR<&CompositeGroup> {
+        self.composites.get()
     }
-
-    fn document_mut<R>(&mut self, id: DocumentId, f: impl FnOnce(&mut Document) -> R) -> TxR<R> {
-        self.documents
-            .get_mut()?
-            .store
-            .get_mut(id.raw())
-            .map(f)
-            .ok_or(MISSING)
+    #[inline]
+    fn composites_mut(&mut self) -> TxR<&mut CompositeGroup> {
+        self.composites.get_mut()
     }
-
-    fn set_atomic_build_date(&mut self, id: AtomicPartId, date: i32) -> TxR<()> {
-        if self.atomic_shard_mut(id.raw())?.set_date(id.raw(), date) {
-            Ok(())
-        } else {
-            Err(MISSING)
-        }
+    #[inline]
+    fn documents(&self) -> TxR<&DocGroup> {
+        self.documents.get()
     }
-
-    fn lookup_atomic(&mut self, raw: u32) -> TxR<Option<AtomicPartId>> {
-        Ok(self
-            .atomic_shard(raw)?
-            .by_id
-            .get(&raw)
-            .map(|_| AtomicPartId(raw)))
+    #[inline]
+    fn documents_mut(&mut self) -> TxR<&mut DocGroup> {
+        self.documents.get_mut()
     }
-
-    fn lookup_composite(&mut self, raw: u32) -> TxR<Option<CompositePartId>> {
-        Ok(self
-            .composites
-            .get()?
-            .by_id
-            .get(&raw)
-            .map(|_| CompositePartId(raw)))
+    /// The held shard `raw` routes to; `Invariant` when the operation did
+    /// not declare that shard (a narrowing bug — the backend panics on it,
+    /// exactly as for undeclared groups).
+    #[inline]
+    fn atomic_group(&self, raw: u32) -> TxR<&AtomicLockShard> {
+        self.atomics[raw as usize % self.shards].get()
     }
-
-    fn lookup_base(&mut self, raw: u32) -> TxR<Option<BaseAssemblyId>> {
-        Ok(self
-            .bases
-            .get()?
-            .by_id
-            .get(&raw)
-            .map(|_| BaseAssemblyId(raw)))
+    #[inline]
+    fn atomic_group_mut(&mut self, raw: u32) -> TxR<&mut AtomicLockShard> {
+        self.atomics[raw as usize % self.shards].get_mut()
     }
-
-    fn lookup_complex(&mut self, raw: u32) -> TxR<Option<ComplexAssemblyId>> {
-        Ok(self
-            .sm
-            .get()?
-            .complex_index
-            .get(&raw)
-            .map(|_| ComplexAssemblyId(raw)))
-    }
-
-    fn lookup_document(&mut self, title: &str) -> TxR<Option<DocumentId>> {
-        Ok(self
-            .documents
-            .get()?
-            .by_title
-            .get(&title.to_string())
-            .map(|raw| DocumentId(*raw)))
-    }
-
-    fn atomics_in_date_range(&mut self, lo: i32, hi: i32) -> TxR<Vec<AtomicPartId>> {
-        // Range scans span all shards; each per-shard slice is sorted, so
-        // one global sort restores the monolithic `(date, id)` order.
-        let mut entries: Vec<(i32, u32)> = Vec::new();
-        for shard in &self.atomics[..self.shards] {
-            shard
-                .get()?
-                .by_date
-                .for_range(&(lo, 0), &(hi, u32::MAX), |k, _| entries.push(*k));
-        }
-        Ok(stmbench7_data::sharded::merge_date_entries(entries))
-    }
-
-    fn all_atomic_ids(&mut self) -> TxR<Vec<AtomicPartId>> {
-        let mut out = Vec::new();
-        for shard in &self.atomics[..self.shards] {
-            shard.get()?.by_id.for_each(|raw, _| out.push(*raw));
-        }
-        out.sort_unstable();
-        Ok(out.into_iter().map(AtomicPartId).collect())
-    }
-
-    fn all_base_ids(&mut self) -> TxR<Vec<BaseAssemblyId>> {
-        let group = self.bases.get()?;
-        let mut out = Vec::with_capacity(group.store.live());
-        group
-            .by_id
-            .for_each(|raw, _| out.push(BaseAssemblyId(*raw)));
-        Ok(out)
-    }
-
-    fn pool_capacity(&mut self, kind: PoolKind) -> TxR<usize> {
-        let pools = &self.sm.get()?.pools;
-        let pool = match kind {
-            PoolKind::Atomic => &pools.atomic,
-            PoolKind::Composite => &pools.composite,
-            PoolKind::Document => &pools.document,
-            PoolKind::Base => &pools.base,
-            PoolKind::Complex => &pools.complex,
-        };
-        Ok(pool.capacity() as usize - pool.live())
-    }
-
-    fn create_atomic(
-        &mut self,
-        make: impl FnOnce(AtomicPartId) -> AtomicPart,
-    ) -> TxR<Option<AtomicPartId>> {
-        let Some(raw) = self.sm.get_mut()?.pools.atomic.alloc() else {
-            return Ok(None);
-        };
-        let id = AtomicPartId(raw);
-        let part = make(id);
-        self.atomic_shard_mut(raw)?.create(part);
-        Ok(Some(id))
-    }
-
-    fn create_composite(
-        &mut self,
-        make: impl FnOnce(CompositePartId) -> CompositePart,
-    ) -> TxR<Option<CompositePartId>> {
-        let Some(raw) = self.sm.get_mut()?.pools.composite.alloc() else {
-            return Ok(None);
-        };
-        let id = CompositePartId(raw);
-        self.composites.get_mut()?.create(make(id));
-        Ok(Some(id))
-    }
-
-    fn create_document(
-        &mut self,
-        make: impl FnOnce(DocumentId) -> Document,
-    ) -> TxR<Option<DocumentId>> {
-        let Some(raw) = self.sm.get_mut()?.pools.document.alloc() else {
-            return Ok(None);
-        };
-        let id = DocumentId(raw);
-        self.documents.get_mut()?.create(make(id));
-        Ok(Some(id))
-    }
-
-    fn create_base(
-        &mut self,
-        make: impl FnOnce(BaseAssemblyId) -> BaseAssembly,
-    ) -> TxR<Option<BaseAssemblyId>> {
-        let Some(raw) = self.sm.get_mut()?.pools.base.alloc() else {
-            return Ok(None);
-        };
-        let id = BaseAssemblyId(raw);
-        self.bases.get_mut()?.create(make(id));
-        Ok(Some(id))
-    }
-
-    fn create_complex(
-        &mut self,
-        level: u8,
-        make: impl FnOnce(ComplexAssemblyId) -> ComplexAssembly,
-    ) -> TxR<Option<ComplexAssemblyId>> {
-        let Some(raw) = self.sm.get_mut()?.pools.complex.alloc() else {
-            return Ok(None);
-        };
-        let id = ComplexAssemblyId(raw);
-        self.sm.get_mut()?.complex_index.insert(raw, level);
-        self.complex_group_mut(level)?.store.insert(raw, make(id));
-        Ok(Some(id))
-    }
-
-    fn delete_atomic(&mut self, id: AtomicPartId) -> TxR<AtomicPart> {
-        let p = self
-            .atomic_shard_mut(id.raw())?
-            .delete(id.raw())
-            .ok_or(MISSING)?;
-        assert!(self.sm.get_mut()?.pools.atomic.free(id.raw()), "pool drift");
-        Ok(p)
-    }
-
-    fn delete_composite(&mut self, id: CompositePartId) -> TxR<CompositePart> {
-        let c = self.composites.get_mut()?.delete(id.raw()).ok_or(MISSING)?;
-        assert!(
-            self.sm.get_mut()?.pools.composite.free(id.raw()),
-            "pool drift"
-        );
-        Ok(c)
-    }
-
-    fn delete_document(&mut self, id: DocumentId) -> TxR<Document> {
-        let d = self.documents.get_mut()?.delete(id.raw()).ok_or(MISSING)?;
-        assert!(
-            self.sm.get_mut()?.pools.document.free(id.raw()),
-            "pool drift"
-        );
-        Ok(d)
-    }
-
-    fn delete_base(&mut self, id: BaseAssemblyId) -> TxR<BaseAssembly> {
-        let b = self.bases.get_mut()?.delete(id.raw()).ok_or(MISSING)?;
-        assert!(self.sm.get_mut()?.pools.base.free(id.raw()), "pool drift");
-        Ok(b)
-    }
-
-    fn delete_complex(&mut self, id: ComplexAssemblyId) -> TxR<ComplexAssembly> {
-        let level = self.complex_level_of(id.raw())?;
-        let c = self
-            .complex_group_mut(level)?
-            .store
-            .remove(id.raw())
-            .ok_or(MISSING)?;
-        let sm = self.sm.get_mut()?;
-        sm.complex_index.remove(&id.raw());
-        assert!(sm.pools.complex.free(id.raw()), "pool drift");
-        Ok(c)
+    fn atomic_groups(&self) -> impl Iterator<Item = TxR<&AtomicLockShard>> {
+        self.atomics[..self.shards].iter().map(Guard::get)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use stmbench7_data::Mode;
+    use stmbench7_data::objects::AssemblyChildren;
+    use stmbench7_data::{
+        structural_diff, AtomicPartId, BaseAssembly, BaseAssemblyId, ComplexAssembly,
+        ComplexAssemblyId, CompositePart, CompositePartId, Document, DocumentId, Mode, Sb7Tx,
+    };
 
     struct ReadRoot;
     impl TxOperation<u32> for ReadRoot {
@@ -1017,5 +747,132 @@ mod tests {
             }
         });
         stmbench7_data::validate(&medium.export()).unwrap();
+    }
+
+    /// Calls each of the 18 write-family accessors once, on objects that
+    /// exist, and returns every result.
+    struct WriteFamily(ComplexAssemblyId);
+    impl TxOperation<Vec<(&'static str, TxR<()>)>> for WriteFamily {
+        fn run<T: Sb7Tx>(&mut self, tx: &mut T) -> TxR<Vec<(&'static str, TxR<()>)>> {
+            let (root, part, comp) = (self.0, AtomicPartId(1), CompositePartId(1));
+            let (doc, base) = (DocumentId(1), BaseAssemblyId(1));
+            Ok(vec![
+                ("atomic_mut", tx.atomic_mut(part, |_| ())),
+                ("composite_mut", tx.composite_mut(comp, |_| ())),
+                ("base_mut", tx.base_mut(base, |_| ())),
+                ("complex_mut", tx.complex_mut(root, |_| ())),
+                ("document_mut", tx.document_mut(doc, |_| ())),
+                (
+                    "set_atomic_build_date",
+                    tx.set_atomic_build_date(part, 1999),
+                ),
+                ("set_design_root", tx.set_design_root(root)),
+                ("manual_swap_case", tx.manual_swap_case().map(drop)),
+                (
+                    "create_atomic",
+                    tx.create_atomic(|id| AtomicPart {
+                        id,
+                        kind: 0,
+                        build_date: 1000,
+                        x: 0,
+                        y: 0,
+                        to: vec![],
+                        owner: comp,
+                    })
+                    .map(drop),
+                ),
+                (
+                    "create_composite",
+                    tx.create_composite(|id| CompositePart {
+                        id,
+                        kind: 0,
+                        build_date: 1000,
+                        doc,
+                        root_part: part,
+                        parts: vec![],
+                        used_in: vec![],
+                    })
+                    .map(drop),
+                ),
+                (
+                    "create_document",
+                    tx.create_document(|id| Document {
+                        id,
+                        title: "Rejected".to_string(),
+                        text: String::new(),
+                        part: comp,
+                    })
+                    .map(drop),
+                ),
+                (
+                    "create_base",
+                    tx.create_base(|id| BaseAssembly {
+                        id,
+                        kind: 0,
+                        build_date: 1000,
+                        parent: root,
+                        components: vec![],
+                    })
+                    .map(drop),
+                ),
+                (
+                    "create_complex",
+                    tx.create_complex(2, |id| ComplexAssembly {
+                        id,
+                        kind: 0,
+                        build_date: 1000,
+                        parent: Some(root),
+                        level: 2,
+                        children: AssemblyChildren::Base(vec![]),
+                    })
+                    .map(drop),
+                ),
+                ("delete_atomic", tx.delete_atomic(part).map(drop)),
+                ("delete_composite", tx.delete_composite(comp).map(drop)),
+                ("delete_document", tx.delete_document(doc).map(drop)),
+                ("delete_base", tx.delete_base(base).map(drop)),
+                ("delete_complex", tx.delete_complex(root).map(drop)),
+            ])
+        }
+    }
+
+    #[test]
+    fn read_only_lock_transactions_reject_every_write() {
+        // Both implementors of the one shared body: a read-only DirectTx,
+        // and MediumTx holding read guards on every group, or no guard.
+        let ws = Workspace::build(StructureParams::tiny().with_shards(4), 5);
+        let mut op = WriteFamily(ws.module.design_root);
+        let all_read = AccessSpec::new()
+            .regular()
+            .levels(1, MAX_LEVELS as u8, Mode::Read)
+            .composites(Mode::Read)
+            .atomics(Mode::Read)
+            .documents(Mode::Read)
+            .manual(Mode::Read);
+        let medium = MediumBackend::new(ws.clone());
+        let runs = [
+            (
+                "DirectTx::reading",
+                op.run(&mut DirectTx::reading(&ws)).unwrap(),
+            ),
+            (
+                "MediumTx with read guards",
+                medium.execute(&all_read, &mut op),
+            ),
+            (
+                "MediumTx with no guard",
+                medium.execute(&AccessSpec::new(), &mut op),
+            ),
+        ];
+        for (who, results) in runs {
+            assert_eq!(results.len(), 18, "{who}");
+            for (accessor, r) in results {
+                assert!(
+                    matches!(r, Err(TxErr::Invariant(m)) if m != "object not found"),
+                    "{who}: {accessor} returned {r:?}"
+                );
+            }
+        }
+        structural_diff(&medium.export(), &ws).unwrap();
     }
 }

@@ -81,7 +81,7 @@ typed_id!(
 /// pool.free(a);
 /// assert_eq!(pool.alloc(), Some(1));
 /// ```
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct IdPool {
     next: u32,
     max: u32,

@@ -26,8 +26,9 @@
 //! * [`access`] — the `Sb7Tx` trait, transaction error types and the
 //!   [`spec::AccessSpec`] lock declarations,
 //! * [`workspace`] — the plain (synchronization-free) workspace, its lock
-//!   groups and the [`workspace::DirectTx`] used by sequential and
-//!   coarse-grained backends,
+//!   groups and the one `Sb7Tx` body over them ([`workspace::LockGroups`]),
+//!   which [`workspace::DirectTx`] (sequential, coarse, `flatcomb`, `rcl`,
+//!   the builder) and the medium-grained backend's transaction share,
 //! * [`builder`] — deterministic construction of the initial structure,
 //! * [`mod@validate`] — structural invariant checking used throughout the
 //!   test suite.
@@ -55,5 +56,5 @@ pub use objects::{
 pub use params::StructureParams;
 pub use sharded::{ShardKey, ShardedIndex};
 pub use spec::{AccessSpec, Mode, ShardSet};
-pub use validate::{validate, Census};
+pub use validate::{structural_diff, validate, Census};
 pub use workspace::{DirectTx, Workspace};

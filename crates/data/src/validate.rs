@@ -8,8 +8,10 @@
 //! to all base assemblies").
 
 use std::collections::HashSet;
+use std::fmt::Debug;
 
 use crate::objects::AssemblyChildren;
+use crate::sharded::{ShardKey, ShardedIndex};
 use crate::workspace::Workspace;
 
 /// Object counts of a validated structure.
@@ -302,6 +304,56 @@ pub fn validate(ws: &Workspace) -> Result<Census, String> {
         atomic_parts: ws.atomics.store.live(),
         documents: ws.documents.store.live(),
     })
+}
+
+/// Compares two structures exactly — the module, the manual, the id
+/// pools, every object of every store and every index's entries, all in
+/// order — and names the first difference. [`validate`]'s [`Census`] only
+/// counts objects; this also catches a wrong value that keeps the counts
+/// coherent (a build date, a complex level, a bag entry).
+pub fn structural_diff(a: &Workspace, b: &Workspace) -> Result<(), String> {
+    fn same<'w, T: PartialEq + Debug, I: IntoIterator<Item = T>>(
+        what: &str,
+        a: &'w Workspace,
+        b: &'w Workspace,
+        part: impl Fn(&'w Workspace) -> I,
+    ) -> Result<(), String> {
+        let (x, y): (Vec<T>, Vec<T>) =
+            (part(a).into_iter().collect(), part(b).into_iter().collect());
+        if let Some(i) = (0..x.len().min(y.len())).find(|&i| x[i] != y[i]) {
+            return Err(format!("{what}, entry {i}: {:?} vs {:?}", x[i], y[i]));
+        }
+        ensure!(
+            x.len() == y.len(),
+            "{what}: {} vs {} entries",
+            x.len(),
+            y.len()
+        );
+        Ok(())
+    }
+    fn entries<K: Ord + Clone + ShardKey, V: Clone>(index: &ShardedIndex<K, V>) -> Vec<(K, V)> {
+        let mut out = Vec::with_capacity(index.len());
+        index.for_each(|k, v| out.push((k.clone(), v.clone())));
+        out
+    }
+    same("module", a, b, |w| [&w.module])?;
+    same("manual", a, b, |w| [&w.manual])?;
+    same("id pools", a, b, |w| [&w.sm.pools])?;
+    same("atomic parts", a, b, |w| w.atomics.store.iter())?;
+    same("composite parts", a, b, |w| w.composites.store.iter())?;
+    same("documents", a, b, |w| w.documents.store.iter())?;
+    same("base assemblies", a, b, |w| w.bases.store.iter())?;
+    same("complex levels", a, b, |w| [w.complexes.len()])?;
+    for level in 2..=a.params.assembly_levels {
+        let what = format!("complex assemblies of level {level}");
+        same(&what, a, b, |w| w.complex_level(level).store.iter())?;
+    }
+    same("index 1", a, b, |w| entries(&w.atomics.by_id))?;
+    same("index 2", a, b, |w| entries(&w.atomics.by_date))?;
+    same("index 3", a, b, |w| entries(&w.composites.by_id))?;
+    same("index 4", a, b, |w| entries(&w.documents.by_title))?;
+    same("index 5", a, b, |w| entries(&w.bases.by_id))?;
+    same("index 6", a, b, |w| entries(&w.sm.complex_index))
 }
 
 #[cfg(test)]

@@ -5,9 +5,12 @@
 //! composite parts, one for all atomic parts, one for all documents, one
 //! for the manual, plus the structure-modification state (id pools and the
 //! complex-assembly id index) that only gate-exclusive operations mutate.
-//! Lock-based backends wrap these groups in read-write locks; the
-//! [`DirectTx`] defined here accesses them directly and backs both the
-//! sequential baseline and the coarse-grained strategy.
+//!
+//! [`Sb7Tx`] is implemented once here, over [`LockGroups`] — a getter per
+//! group. [`DirectTx`] borrows a whole workspace and backs the sequential,
+//! coarse-grained, `flatcomb` and `rcl` strategies and the builder; the
+//! medium-grained backend's transaction holds one lock guard per group and
+//! runs the same accessor bodies.
 
 use crate::access::{PoolKind, Sb7Tx, TxErr, TxR};
 use crate::ids::{
@@ -183,25 +186,56 @@ impl AtomicGroup {
             by_date: ShardedIndex::new(shards),
         }
     }
+}
 
-    /// Inserts a freshly created atomic part into the store and both
-    /// indexes.
-    pub fn create(&mut self, p: AtomicPart) {
+/// One atomic-part lock group: the whole [`AtomicGroup`] here, one lock
+/// shard in the medium-grained backend. Store and indexes 1 and 2 stay
+/// coherent under every mutation.
+pub trait AtomicSlice {
+    /// The part with this raw id.
+    fn get(&self, raw: u32) -> Option<&AtomicPart>;
+    /// The part with this raw id, mutably (never change its build date here).
+    fn get_mut(&mut self, raw: u32) -> Option<&mut AtomicPart>;
+    /// Inserts a freshly created part into the store and both indexes.
+    fn create(&mut self, p: AtomicPart);
+    /// Removes a part from the store and both indexes.
+    fn delete(&mut self, raw: u32) -> Option<AtomicPart>;
+    /// Changes a part's build date, keeping index 2 coherent.
+    fn set_date(&mut self, raw: u32, date: i32) -> bool;
+    /// Whether index 1 holds this raw id.
+    fn contains(&self, raw: u32) -> bool;
+    /// Visits this slice's index-2 entries with dates in `[lo, hi]`;
+    /// [`crate::sharded::merge_date_entries`] restores the global order.
+    fn for_date_range(&self, lo: i32, hi: i32, f: impl FnMut((i32, u32)));
+    /// Visits this slice's index-1 entries.
+    fn for_each_id(&self, f: impl FnMut(u32));
+}
+
+impl AtomicSlice for AtomicGroup {
+    #[inline]
+    fn get(&self, raw: u32) -> Option<&AtomicPart> {
+        self.store.get(raw)
+    }
+
+    #[inline]
+    fn get_mut(&mut self, raw: u32) -> Option<&mut AtomicPart> {
+        self.store.get_mut(raw)
+    }
+
+    fn create(&mut self, p: AtomicPart) {
         self.by_id.insert(p.id.raw(), ());
         self.by_date.insert((p.build_date, p.id.raw()), ());
         self.store.insert(p.id.raw(), p);
     }
 
-    /// Removes an atomic part from the store and both indexes.
-    pub fn delete(&mut self, raw: u32) -> Option<AtomicPart> {
+    fn delete(&mut self, raw: u32) -> Option<AtomicPart> {
         let p = self.store.remove(raw)?;
         self.by_id.remove(&raw);
         self.by_date.remove(&(p.build_date, raw));
         Some(p)
     }
 
-    /// Changes a part's build date, keeping index 2 coherent.
-    pub fn set_date(&mut self, raw: u32, date: i32) -> bool {
+    fn set_date(&mut self, raw: u32, date: i32) -> bool {
         let Some(p) = self.store.get_mut(raw) else {
             return false;
         };
@@ -212,13 +246,21 @@ impl AtomicGroup {
         true
     }
 
-    /// Ids of parts with build date in `[lo, hi]`, in index order.
-    pub fn in_date_range(&self, lo: i32, hi: i32) -> Vec<AtomicPartId> {
-        let mut out = Vec::new();
-        self.by_date.for_range(&(lo, 0), &(hi, u32::MAX), |k, _| {
-            out.push(AtomicPartId(k.1))
-        });
-        out
+    #[inline]
+    fn contains(&self, raw: u32) -> bool {
+        self.by_id.contains(&raw)
+    }
+
+    fn for_date_range(&self, lo: i32, hi: i32, mut f: impl FnMut((i32, u32))) {
+        for shard in self.by_date.shards() {
+            shard.for_range(&(lo, 0), &(hi, u32::MAX), |k, _| f(*k));
+        }
+    }
+
+    fn for_each_id(&self, mut f: impl FnMut(u32)) {
+        for shard in self.by_id.shards() {
+            shard.for_each(|raw, _| f(*raw));
+        }
     }
 }
 
@@ -253,7 +295,7 @@ impl DocGroup {
 
 /// All five id pools. Only touched during the build and by SM operations
 /// (which hold the gate exclusively).
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Pools {
     pub atomic: IdPool,
     pub composite: IdPool,
@@ -358,16 +400,58 @@ impl Workspace {
     }
 }
 
+/// Access to the Figure 5 lock groups: a read getter and a `TxR`-returning
+/// write getter per group. [`Sb7Tx`] is implemented once over this trait,
+/// so every strategy that keeps the groups as plain values — borrowed
+/// whole by [`DirectTx`], or held group by group under the medium-grained
+/// backend's lock guards — runs the same accessor bodies. A getter
+/// returns `TxErr::Invariant` when the transaction may not touch its
+/// group in that mode.
+pub trait LockGroups {
+    /// How this transaction stores the atomic-part group.
+    type Atomics: AtomicSlice;
+
+    /// The module; every transaction may read it.
+    fn module_ref(&self) -> &Module;
+    /// The module, for the builder's [`Sb7Tx::set_design_root`].
+    fn module_mut(&mut self) -> TxR<&mut Module>;
+    /// Id pools and index 6.
+    fn sm(&self) -> TxR<&SmState>;
+    fn sm_mut(&mut self) -> TxR<&mut SmState>;
+    fn manual(&self) -> TxR<&Manual>;
+    fn manual_mut(&mut self) -> TxR<&mut Manual>;
+    fn bases(&self) -> TxR<&BaseGroup>;
+    fn bases_mut(&mut self) -> TxR<&mut BaseGroup>;
+    /// Complex assemblies of `level` (2-based).
+    fn complex_level(&self, level: u8) -> TxR<&ComplexLevelGroup>;
+    fn complex_level_mut(&mut self, level: u8) -> TxR<&mut ComplexLevelGroup>;
+    fn composites(&self) -> TxR<&CompositeGroup>;
+    fn composites_mut(&mut self) -> TxR<&mut CompositeGroup>;
+    fn documents(&self) -> TxR<&DocGroup>;
+    fn documents_mut(&mut self) -> TxR<&mut DocGroup>;
+    /// The atomic-part group holding raw id `raw`.
+    fn atomic_group(&self, raw: u32) -> TxR<&Self::Atomics>;
+    fn atomic_group_mut(&mut self, raw: u32) -> TxR<&mut Self::Atomics>;
+    /// Every atomic-part group, for index scans.
+    fn atomic_groups(&self) -> impl Iterator<Item = TxR<&Self::Atomics>>;
+
+    /// The level of complex assembly `raw`, through index 6.
+    #[inline]
+    fn level_of(&self, raw: u32) -> TxR<u8> {
+        self.sm()?.complex_index.get(&raw).copied().ok_or(MISSING)
+    }
+}
+
 /// How a [`DirectTx`] borrows the workspace.
 enum WsRef<'a> {
     Read(&'a Workspace),
     Write(&'a mut Workspace),
 }
 
-/// Direct (uninstrumented) implementation of [`Sb7Tx`] over a borrowed
-/// workspace. The sequential backend always uses the writing form; the
-/// coarse-grained backend uses the reading form for operations whose
-/// [`crate::AccessSpec`] requests no writes.
+/// The [`LockGroups`] of a borrowed workspace, with no synchronization of
+/// its own. Sequential, `flatcomb`, `rcl` and the builder use the writing
+/// form; the coarse-grained backend uses the reading form for operations
+/// whose [`crate::AccessSpec`] requests no writes.
 pub struct DirectTx<'a> {
     ws: WsRef<'a>,
 }
@@ -388,6 +472,7 @@ impl<'a> DirectTx<'a> {
         }
     }
 
+    #[inline]
     fn ws(&self) -> &Workspace {
         match &self.ws {
             WsRef::Read(w) => w,
@@ -395,6 +480,7 @@ impl<'a> DirectTx<'a> {
         }
     }
 
+    #[inline]
     fn ws_mut(&mut self) -> TxR<&mut Workspace> {
         match &mut self.ws {
             WsRef::Read(_) => Err(TxErr::Invariant(
@@ -405,51 +491,119 @@ impl<'a> DirectTx<'a> {
     }
 }
 
+impl LockGroups for DirectTx<'_> {
+    type Atomics = AtomicGroup;
+
+    #[inline]
+    fn module_ref(&self) -> &Module {
+        &self.ws().module
+    }
+    #[inline]
+    fn module_mut(&mut self) -> TxR<&mut Module> {
+        Ok(&mut self.ws_mut()?.module)
+    }
+    #[inline]
+    fn sm(&self) -> TxR<&SmState> {
+        Ok(&self.ws().sm)
+    }
+    #[inline]
+    fn sm_mut(&mut self) -> TxR<&mut SmState> {
+        Ok(&mut self.ws_mut()?.sm)
+    }
+    #[inline]
+    fn manual(&self) -> TxR<&Manual> {
+        Ok(&self.ws().manual)
+    }
+    #[inline]
+    fn manual_mut(&mut self) -> TxR<&mut Manual> {
+        Ok(&mut self.ws_mut()?.manual)
+    }
+    #[inline]
+    fn bases(&self) -> TxR<&BaseGroup> {
+        Ok(&self.ws().bases)
+    }
+    #[inline]
+    fn bases_mut(&mut self) -> TxR<&mut BaseGroup> {
+        Ok(&mut self.ws_mut()?.bases)
+    }
+    #[inline]
+    fn complex_level(&self, level: u8) -> TxR<&ComplexLevelGroup> {
+        Ok(self.ws().complex_level(level))
+    }
+    #[inline]
+    fn complex_level_mut(&mut self, level: u8) -> TxR<&mut ComplexLevelGroup> {
+        Ok(self.ws_mut()?.complex_level_mut(level))
+    }
+    #[inline]
+    fn composites(&self) -> TxR<&CompositeGroup> {
+        Ok(&self.ws().composites)
+    }
+    #[inline]
+    fn composites_mut(&mut self) -> TxR<&mut CompositeGroup> {
+        Ok(&mut self.ws_mut()?.composites)
+    }
+    #[inline]
+    fn documents(&self) -> TxR<&DocGroup> {
+        Ok(&self.ws().documents)
+    }
+    #[inline]
+    fn documents_mut(&mut self) -> TxR<&mut DocGroup> {
+        Ok(&mut self.ws_mut()?.documents)
+    }
+    #[inline]
+    fn atomic_group(&self, _raw: u32) -> TxR<&AtomicGroup> {
+        Ok(&self.ws().atomics)
+    }
+    #[inline]
+    fn atomic_group_mut(&mut self, _raw: u32) -> TxR<&mut AtomicGroup> {
+        Ok(&mut self.ws_mut()?.atomics)
+    }
+    fn atomic_groups(&self) -> impl Iterator<Item = TxR<&AtomicGroup>> {
+        std::iter::once(Ok(&self.ws().atomics))
+    }
+}
+
 const MISSING: TxErr = TxErr::Invariant("object not found");
 
-impl Sb7Tx for DirectTx<'_> {
+/// The one `Sb7Tx` body of every strategy that keeps the Figure 5 groups
+/// as plain values (see [`LockGroups`]).
+impl<G: LockGroups> Sb7Tx for G {
     fn module<R>(&mut self, f: impl FnOnce(&Module) -> R) -> TxR<R> {
-        Ok(f(&self.ws().module))
+        Ok(f(self.module_ref()))
     }
 
     fn manual_text_len(&mut self) -> TxR<usize> {
-        Ok(self.ws().manual.text.len())
+        Ok(self.manual()?.text.len())
     }
 
     fn manual_count_char(&mut self, c: char) -> TxR<usize> {
-        Ok(crate::text::count_char(&self.ws().manual.text, c))
+        Ok(text::count_char(&self.manual()?.text, c))
     }
 
     fn manual_first_last_equal(&mut self) -> TxR<bool> {
-        Ok(crate::text::first_last_equal(&self.ws().manual.text))
+        Ok(text::first_last_equal(&self.manual()?.text))
     }
 
     fn manual_swap_case(&mut self) -> TxR<usize> {
-        Ok(crate::text::swap_manual_case(
-            &mut self.ws_mut()?.manual.text,
-        ))
+        Ok(text::swap_manual_case(&mut self.manual_mut()?.text))
     }
 
     fn set_design_root(&mut self, root: ComplexAssemblyId) -> TxR<()> {
-        self.ws_mut()?.module.design_root = root;
+        self.module_mut()?.design_root = root;
         Ok(())
     }
 
     fn atomic<R>(&mut self, id: AtomicPartId, f: impl FnOnce(&AtomicPart) -> R) -> TxR<R> {
-        self.ws().atomics.store.get(id.raw()).map(f).ok_or(MISSING)
+        let raw = id.raw();
+        self.atomic_group(raw)?.get(raw).map(f).ok_or(MISSING)
     }
 
     fn composite<R>(&mut self, id: CompositePartId, f: impl FnOnce(&CompositePart) -> R) -> TxR<R> {
-        self.ws()
-            .composites
-            .store
-            .get(id.raw())
-            .map(f)
-            .ok_or(MISSING)
+        self.composites()?.store.get(id.raw()).map(f).ok_or(MISSING)
     }
 
     fn base<R>(&mut self, id: BaseAssemblyId, f: impl FnOnce(&BaseAssembly) -> R) -> TxR<R> {
-        self.ws().bases.store.get(id.raw()).map(f).ok_or(MISSING)
+        self.bases()?.store.get(id.raw()).map(f).ok_or(MISSING)
     }
 
     fn complex<R>(
@@ -457,23 +611,19 @@ impl Sb7Tx for DirectTx<'_> {
         id: ComplexAssemblyId,
         f: impl FnOnce(&ComplexAssembly) -> R,
     ) -> TxR<R> {
-        self.ws().complex_ref(id.raw()).map(f).ok_or(MISSING)
+        let level = self.level_of(id.raw())?;
+        let group = self.complex_level(level)?;
+        group.store.get(id.raw()).map(f).ok_or(MISSING)
     }
 
     fn document<R>(&mut self, id: DocumentId, f: impl FnOnce(&Document) -> R) -> TxR<R> {
-        self.ws()
-            .documents
-            .store
-            .get(id.raw())
-            .map(f)
-            .ok_or(MISSING)
+        self.documents()?.store.get(id.raw()).map(f).ok_or(MISSING)
     }
 
     fn atomic_mut<R>(&mut self, id: AtomicPartId, f: impl FnOnce(&mut AtomicPart) -> R) -> TxR<R> {
-        self.ws_mut()?
-            .atomics
-            .store
-            .get_mut(id.raw())
+        let raw = id.raw();
+        self.atomic_group_mut(raw)?
+            .get_mut(raw)
             .map(f)
             .ok_or(MISSING)
     }
@@ -483,12 +633,8 @@ impl Sb7Tx for DirectTx<'_> {
         id: CompositePartId,
         f: impl FnOnce(&mut CompositePart) -> R,
     ) -> TxR<R> {
-        self.ws_mut()?
-            .composites
-            .store
-            .get_mut(id.raw())
-            .map(f)
-            .ok_or(MISSING)
+        let group = self.composites_mut()?;
+        group.store.get_mut(id.raw()).map(f).ok_or(MISSING)
     }
 
     fn base_mut<R>(
@@ -496,8 +642,7 @@ impl Sb7Tx for DirectTx<'_> {
         id: BaseAssemblyId,
         f: impl FnOnce(&mut BaseAssembly) -> R,
     ) -> TxR<R> {
-        self.ws_mut()?
-            .bases
+        self.bases_mut()?
             .store
             .get_mut(id.raw())
             .map(f)
@@ -509,91 +654,78 @@ impl Sb7Tx for DirectTx<'_> {
         id: ComplexAssemblyId,
         f: impl FnOnce(&mut ComplexAssembly) -> R,
     ) -> TxR<R> {
-        let ws = self.ws_mut()?;
-        let level = *ws.sm.complex_index.get(&id.raw()).ok_or(MISSING)?;
-        ws.complex_level_mut(level)
-            .store
-            .get_mut(id.raw())
-            .map(f)
-            .ok_or(MISSING)
+        let level = self.level_of(id.raw())?;
+        let group = self.complex_level_mut(level)?;
+        group.store.get_mut(id.raw()).map(f).ok_or(MISSING)
     }
 
     fn document_mut<R>(&mut self, id: DocumentId, f: impl FnOnce(&mut Document) -> R) -> TxR<R> {
-        self.ws_mut()?
-            .documents
-            .store
-            .get_mut(id.raw())
-            .map(f)
-            .ok_or(MISSING)
+        let group = self.documents_mut()?;
+        group.store.get_mut(id.raw()).map(f).ok_or(MISSING)
     }
 
     fn set_atomic_build_date(&mut self, id: AtomicPartId, date: i32) -> TxR<()> {
-        if self.ws_mut()?.atomics.set_date(id.raw(), date) {
-            Ok(())
-        } else {
-            Err(MISSING)
-        }
+        let raw = id.raw();
+        let found = self.atomic_group_mut(raw)?.set_date(raw, date);
+        found.then_some(()).ok_or(MISSING)
     }
 
     fn lookup_atomic(&mut self, raw: u32) -> TxR<Option<AtomicPartId>> {
-        Ok(self.ws().atomics.by_id.get(&raw).map(|_| AtomicPartId(raw)))
+        let found = self.atomic_group(raw)?.contains(raw);
+        Ok(found.then_some(AtomicPartId(raw)))
     }
 
     fn lookup_composite(&mut self, raw: u32) -> TxR<Option<CompositePartId>> {
-        Ok(self
-            .ws()
-            .composites
-            .by_id
-            .get(&raw)
-            .map(|_| CompositePartId(raw)))
+        let found = self.composites()?.by_id.contains(&raw);
+        Ok(found.then_some(CompositePartId(raw)))
     }
 
     fn lookup_base(&mut self, raw: u32) -> TxR<Option<BaseAssemblyId>> {
-        Ok(self.ws().bases.by_id.get(&raw).map(|_| BaseAssemblyId(raw)))
+        let found = self.bases()?.by_id.contains(&raw);
+        Ok(found.then_some(BaseAssemblyId(raw)))
     }
 
     fn lookup_complex(&mut self, raw: u32) -> TxR<Option<ComplexAssemblyId>> {
-        Ok(self
-            .ws()
-            .sm
-            .complex_index
-            .get(&raw)
-            .map(|_| ComplexAssemblyId(raw)))
+        let found = self.sm()?.complex_index.contains(&raw);
+        Ok(found.then_some(ComplexAssemblyId(raw)))
     }
 
     fn lookup_document(&mut self, title: &str) -> TxR<Option<DocumentId>> {
-        Ok(self
-            .ws()
-            .documents
+        let group = self.documents()?;
+        Ok(group
             .by_title
             .get(&title.to_string())
             .map(|raw| DocumentId(*raw)))
     }
 
     fn atomics_in_date_range(&mut self, lo: i32, hi: i32) -> TxR<Vec<AtomicPartId>> {
-        Ok(self.ws().atomics.in_date_range(lo, hi))
+        let mut entries = Vec::new();
+        for group in self.atomic_groups() {
+            group?.for_date_range(lo, hi, |k| entries.push(k));
+        }
+        Ok(crate::sharded::merge_date_entries(entries))
     }
 
     fn all_atomic_ids(&mut self) -> TxR<Vec<AtomicPartId>> {
-        let mut out = Vec::with_capacity(self.ws().atomics.store.live());
-        self.ws()
-            .atomics
-            .by_id
-            .for_each(|raw, _| out.push(AtomicPartId(*raw)));
+        let mut out = Vec::new();
+        for group in self.atomic_groups() {
+            group?.for_each_id(|raw| out.push(AtomicPartId(raw)));
+        }
+        out.sort_unstable();
         Ok(out)
     }
 
     fn all_base_ids(&mut self) -> TxR<Vec<BaseAssemblyId>> {
-        let mut out = Vec::with_capacity(self.ws().bases.store.live());
-        self.ws()
-            .bases
+        let group = self.bases()?;
+        let mut out = Vec::with_capacity(group.store.live());
+        group
             .by_id
             .for_each(|raw, _| out.push(BaseAssemblyId(*raw)));
         Ok(out)
     }
 
     fn pool_capacity(&mut self, kind: PoolKind) -> TxR<usize> {
-        let pools = &self.ws().sm.pools;
+        let pools = &self.sm()?.pools;
         let pool = match kind {
             PoolKind::Atomic => &pools.atomic,
             PoolKind::Composite => &pools.composite,
@@ -608,14 +740,13 @@ impl Sb7Tx for DirectTx<'_> {
         &mut self,
         make: impl FnOnce(AtomicPartId) -> AtomicPart,
     ) -> TxR<Option<AtomicPartId>> {
-        let ws = self.ws_mut()?;
-        let Some(raw) = ws.sm.pools.atomic.alloc() else {
+        let Some(raw) = self.sm_mut()?.pools.atomic.alloc() else {
             return Ok(None);
         };
         let id = AtomicPartId(raw);
         let part = make(id);
         debug_assert_eq!(part.id, id);
-        ws.atomics.create(part);
+        self.atomic_group_mut(raw)?.create(part);
         Ok(Some(id))
     }
 
@@ -623,14 +754,13 @@ impl Sb7Tx for DirectTx<'_> {
         &mut self,
         make: impl FnOnce(CompositePartId) -> CompositePart,
     ) -> TxR<Option<CompositePartId>> {
-        let ws = self.ws_mut()?;
-        let Some(raw) = ws.sm.pools.composite.alloc() else {
+        let Some(raw) = self.sm_mut()?.pools.composite.alloc() else {
             return Ok(None);
         };
         let id = CompositePartId(raw);
         let part = make(id);
         debug_assert_eq!(part.id, id);
-        ws.composites.create(part);
+        self.composites_mut()?.create(part);
         Ok(Some(id))
     }
 
@@ -638,14 +768,13 @@ impl Sb7Tx for DirectTx<'_> {
         &mut self,
         make: impl FnOnce(DocumentId) -> Document,
     ) -> TxR<Option<DocumentId>> {
-        let ws = self.ws_mut()?;
-        let Some(raw) = ws.sm.pools.document.alloc() else {
+        let Some(raw) = self.sm_mut()?.pools.document.alloc() else {
             return Ok(None);
         };
         let id = DocumentId(raw);
         let doc = make(id);
         debug_assert_eq!(doc.id, id);
-        ws.documents.create(doc);
+        self.documents_mut()?.create(doc);
         Ok(Some(id))
     }
 
@@ -653,14 +782,13 @@ impl Sb7Tx for DirectTx<'_> {
         &mut self,
         make: impl FnOnce(BaseAssemblyId) -> BaseAssembly,
     ) -> TxR<Option<BaseAssemblyId>> {
-        let ws = self.ws_mut()?;
-        let Some(raw) = ws.sm.pools.base.alloc() else {
+        let Some(raw) = self.sm_mut()?.pools.base.alloc() else {
             return Ok(None);
         };
         let id = BaseAssemblyId(raw);
         let b = make(id);
         debug_assert_eq!(b.id, id);
-        ws.bases.create(b);
+        self.bases_mut()?.create(b);
         Ok(Some(id))
     }
 
@@ -669,57 +797,51 @@ impl Sb7Tx for DirectTx<'_> {
         level: u8,
         make: impl FnOnce(ComplexAssemblyId) -> ComplexAssembly,
     ) -> TxR<Option<ComplexAssemblyId>> {
-        let ws = self.ws_mut()?;
-        let Some(raw) = ws.sm.pools.complex.alloc() else {
+        let sm = self.sm_mut()?;
+        let Some(raw) = sm.pools.complex.alloc() else {
             return Ok(None);
         };
+        sm.complex_index.insert(raw, level);
         let id = ComplexAssemblyId(raw);
         let c = make(id);
         debug_assert_eq!(c.id, id);
         debug_assert_eq!(c.level, level);
-        ws.sm.complex_index.insert(raw, level);
-        ws.complex_level_mut(level).store.insert(raw, c);
+        self.complex_level_mut(level)?.store.insert(raw, c);
         Ok(Some(id))
     }
 
     fn delete_atomic(&mut self, id: AtomicPartId) -> TxR<AtomicPart> {
-        let ws = self.ws_mut()?;
-        let p = ws.atomics.delete(id.raw()).ok_or(MISSING)?;
-        assert!(ws.sm.pools.atomic.free(id.raw()), "pool drift");
+        let raw = id.raw();
+        let p = self.atomic_group_mut(raw)?.delete(raw).ok_or(MISSING)?;
+        assert!(self.sm_mut()?.pools.atomic.free(raw), "pool drift");
         Ok(p)
     }
 
     fn delete_composite(&mut self, id: CompositePartId) -> TxR<CompositePart> {
-        let ws = self.ws_mut()?;
-        let c = ws.composites.delete(id.raw()).ok_or(MISSING)?;
-        assert!(ws.sm.pools.composite.free(id.raw()), "pool drift");
+        let c = self.composites_mut()?.delete(id.raw()).ok_or(MISSING)?;
+        assert!(self.sm_mut()?.pools.composite.free(id.raw()), "pool drift");
         Ok(c)
     }
 
     fn delete_document(&mut self, id: DocumentId) -> TxR<Document> {
-        let ws = self.ws_mut()?;
-        let d = ws.documents.delete(id.raw()).ok_or(MISSING)?;
-        assert!(ws.sm.pools.document.free(id.raw()), "pool drift");
+        let d = self.documents_mut()?.delete(id.raw()).ok_or(MISSING)?;
+        assert!(self.sm_mut()?.pools.document.free(id.raw()), "pool drift");
         Ok(d)
     }
 
     fn delete_base(&mut self, id: BaseAssemblyId) -> TxR<BaseAssembly> {
-        let ws = self.ws_mut()?;
-        let b = ws.bases.delete(id.raw()).ok_or(MISSING)?;
-        assert!(ws.sm.pools.base.free(id.raw()), "pool drift");
+        let b = self.bases_mut()?.delete(id.raw()).ok_or(MISSING)?;
+        assert!(self.sm_mut()?.pools.base.free(id.raw()), "pool drift");
         Ok(b)
     }
 
     fn delete_complex(&mut self, id: ComplexAssemblyId) -> TxR<ComplexAssembly> {
-        let ws = self.ws_mut()?;
-        let level = *ws.sm.complex_index.get(&id.raw()).ok_or(MISSING)?;
-        let c = ws
-            .complex_level_mut(level)
-            .store
-            .remove(id.raw())
-            .ok_or(MISSING)?;
-        ws.sm.complex_index.remove(&id.raw());
-        assert!(ws.sm.pools.complex.free(id.raw()), "pool drift");
+        let level = self.level_of(id.raw())?;
+        let group = self.complex_level_mut(level)?;
+        let c = group.store.remove(id.raw()).ok_or(MISSING)?;
+        let sm = self.sm_mut()?;
+        sm.complex_index.remove(&id.raw());
+        assert!(sm.pools.complex.free(id.raw()), "pool drift");
         Ok(c)
     }
 }
@@ -753,6 +875,11 @@ mod tests {
     fn atomic_group_indexes_follow_dates() {
         // Four-way sharded: the routing must be invisible to the group API.
         let mut g = AtomicGroup::new(100, 4);
+        let in_date_range = |g: &AtomicGroup, lo, hi| {
+            let mut entries = Vec::new();
+            g.for_date_range(lo, hi, |k| entries.push(k));
+            crate::sharded::merge_date_entries(entries)
+        };
         for i in 1..=10u32 {
             g.create(AtomicPart {
                 id: AtomicPartId(i),
@@ -764,27 +891,14 @@ mod tests {
                 owner: CompositePartId(1),
             });
         }
-        assert_eq!(g.in_date_range(1990, 1990).len(), 3); // ids 3, 6, 9
+        assert_eq!(in_date_range(&g, 1990, 1990).len(), 3); // ids 3, 6, 9
         assert!(g.set_date(3, 1995));
-        assert_eq!(g.in_date_range(1990, 1990).len(), 2);
-        assert_eq!(g.in_date_range(1995, 1995), vec![AtomicPartId(3)]);
+        assert_eq!(in_date_range(&g, 1990, 1990).len(), 2);
+        assert_eq!(in_date_range(&g, 1995, 1995), vec![AtomicPartId(3)]);
         let p = g.delete(3).unwrap();
         assert_eq!(p.build_date, 1995);
-        assert_eq!(g.in_date_range(1995, 1995).len(), 0);
-        assert!(!g.by_id.contains(&3));
-    }
-
-    #[test]
-    fn read_only_direct_tx_rejects_writes() {
-        let ws = Workspace::new(StructureParams::tiny());
-        let mut roms = ws.clone();
-        let mut tx = DirectTx::reading(&ws);
-        assert!(tx.manual_text_len().unwrap() > 0);
-        assert!(tx.manual_count_char('I').unwrap() > 0);
-        assert!(matches!(tx.manual_swap_case(), Err(TxErr::Invariant(_))));
-        // Writing transactions accept both.
-        let mut wtx = DirectTx::writing(&mut roms);
-        assert!(wtx.manual_swap_case().unwrap() > 0);
+        assert_eq!(in_date_range(&g, 1995, 1995).len(), 0);
+        assert!(!g.contains(3));
     }
 
     #[test]

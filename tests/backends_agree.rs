@@ -3,7 +3,8 @@
 //! With one thread and a fixed seed, every backend executes the exact same
 //! operation sequence with the exact same random choices — so every
 //! synchronization strategy must produce identical per-operation
-//! outcome counts and identical final structures. This is the strongest
+//! outcome counts and identical final structures — object for object and
+//! index entry for index entry ([`structural_diff`]). This is the strongest
 //! end-to-end correctness check in the suite: it exercises all 45
 //! operations over every `Sb7Tx` implementation at once (for the
 //! fine-grained strategy that includes discovery, execution and the
@@ -11,7 +12,7 @@
 
 use stmbench7::backend::Backend;
 use stmbench7::core::{run_benchmark, BenchConfig, WorkloadType};
-use stmbench7::data::{validate, StructureParams, Workspace};
+use stmbench7::data::{structural_diff, validate, StructureParams, Workspace};
 use stmbench7::{strategy_catalog, AnyBackend, BackendChoice};
 
 fn all_choices() -> Vec<(&'static str, BackendChoice)> {
@@ -19,8 +20,8 @@ fn all_choices() -> Vec<(&'static str, BackendChoice)> {
 }
 
 /// The reference profile of one run: backend name, per-op (completed,
-/// failed) counts, and the final structure census.
-type Profile = (String, Vec<(u64, u64)>, stmbench7::data::Census);
+/// failed) counts, the final structure census and the exported structure.
+type Profile = (String, Vec<(u64, u64)>, stmbench7::data::Census, Workspace);
 
 /// Runs the same deterministic workload on every backend and compares.
 /// `shards` exercises the sharded-index axis: routing and per-shard
@@ -43,8 +44,8 @@ fn check_equivalence(workload: WorkloadType, ops: u64, seed: u64, shards: usize)
         let census = validate(&exported)
             .unwrap_or_else(|e| panic!("{name}: structure corrupted after run: {e}"));
         match &reference {
-            None => reference = Some((name.to_string(), counts, census)),
-            Some((ref_name, ref_counts, ref_census)) => {
+            None => reference = Some((name.to_string(), counts, census, exported)),
+            Some((ref_name, ref_counts, ref_census, ref_ws)) => {
                 assert_eq!(
                     &counts, ref_counts,
                     "{name} and {ref_name} disagree on per-op outcomes"
@@ -53,6 +54,11 @@ fn check_equivalence(workload: WorkloadType, ops: u64, seed: u64, shards: usize)
                     &census, ref_census,
                     "{name} and {ref_name} disagree on the final census"
                 );
+                // No strategy is exempt: every one must leave the exact
+                // structure the reference leaves.
+                if let Err(e) = structural_diff(&exported, ref_ws) {
+                    panic!("{name} and {ref_name} leave different structures: {e}");
+                }
             }
         }
     }

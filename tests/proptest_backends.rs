@@ -1,13 +1,13 @@
 //! Property tests over the synchronization backends: for arbitrary
 //! workloads, seeds and operation mixes, the optimistic and plan-based
 //! backends must agree with the sequential oracle operation-by-operation
-//! and leave structurally identical workspaces.
+//! and leave exactly the oracle's structure ([`structural_diff`]).
 
 use proptest::prelude::*;
 
 use stmbench7::backend::{Backend, FineBackend, SequentialBackend, Tl2Backend};
 use stmbench7::core::{run_benchmark, BenchConfig, WorkloadType};
-use stmbench7::data::{validate, StructureParams, Workspace};
+use stmbench7::data::{structural_diff, validate, StructureParams, Workspace};
 
 fn arb_workload() -> impl Strategy<Value = WorkloadType> {
     prop_oneof![
@@ -18,20 +18,21 @@ fn arb_workload() -> impl Strategy<Value = WorkloadType> {
 }
 
 /// Runs one deterministic single-thread benchmark and returns the per-op
-/// (completed, failed) counts plus the final census.
+/// (completed, failed) counts, the final census and the exported structure.
 fn profile<B: Backend>(
     backend: &B,
     params: &StructureParams,
     cfg: &BenchConfig,
-) -> (Vec<(u64, u64)>, stmbench7::data::Census) {
+) -> (Vec<(u64, u64)>, stmbench7::data::Census, Workspace) {
     let report = run_benchmark(backend, params, cfg);
     let counts = report
         .per_op
         .iter()
         .map(|o| (o.completed, o.failed))
         .collect();
-    let census = validate(&backend.export()).expect("structure corrupted");
-    (counts, census)
+    let exported = backend.export();
+    let census = validate(&exported).expect("structure corrupted");
+    (counts, census, exported)
 }
 
 proptest! {
@@ -57,21 +58,23 @@ proptest! {
         cfg.structure_mods = structure_mods;
 
         let seq = SequentialBackend::new(Workspace::build(params.clone(), build_seed));
-        let (oracle_counts, oracle_census) = profile(&seq, &params, &cfg);
+        let (oracle_counts, oracle_census, oracle_ws) = profile(&seq, &params, &cfg);
 
         let fine = FineBackend::new(Workspace::build(params.clone(), build_seed));
-        let (fine_counts, fine_census) = profile(&fine, &params, &cfg);
+        let (fine_counts, fine_census, fine_ws) = profile(&fine, &params, &cfg);
         prop_assert_eq!(&fine_counts, &oracle_counts, "fine disagrees with the oracle");
         prop_assert_eq!(&fine_census, &oracle_census);
+        prop_assert_eq!(structural_diff(&fine_ws, &oracle_ws), Ok(()));
 
         let tl2 = Tl2Backend::from_workspace(
             &Workspace::build(params.clone(), build_seed),
             stmbench7::stm::Tl2Runtime::default(),
             stmbench7::backend::Granularity::Sharded,
         );
-        let (tl2_counts, tl2_census) = profile(&tl2, &params, &cfg);
+        let (tl2_counts, tl2_census, tl2_ws) = profile(&tl2, &params, &cfg);
         prop_assert_eq!(&tl2_counts, &oracle_counts, "tl2 disagrees with the oracle");
         prop_assert_eq!(&tl2_census, &oracle_census);
+        prop_assert_eq!(structural_diff(&tl2_ws, &oracle_ws), Ok(()));
     }
 
     /// Single-threaded fine-grained execution never needs plan retries or
