@@ -886,23 +886,18 @@ impl<RT: StmRuntime + RtName> Sb7Tx for StmTx<'_, '_, RT> {
                 Ok(changed)
             }
             ManualRep::Chunked { chunks, .. } => {
-                // Decide the direction from the current content, then swap
-                // chunk by chunk, touching only chunks that need it.
-                let mut direction = None;
+                // Decide the direction from the whole manual, as
+                // `text::swap_manual_case` does: `I→i` if any chunk holds
+                // an `'I'`, else `i→I`. Then swap chunk by chunk, touching
+                // only chunks that need it.
+                let mut from_upper = false;
                 for c in chunks {
-                    let text = stm(RT::read(self.tx, c))?;
-                    if text.contains('I') {
-                        direction = Some(('I', 'i'));
-                        break;
-                    }
-                    if text.contains('i') {
-                        direction = Some(('i', 'I'));
+                    if stm(RT::read(self.tx, c))?.contains('I') {
+                        from_upper = true;
                         break;
                     }
                 }
-                let Some((from, to)) = direction else {
-                    return Ok(0);
-                };
+                let (from, to) = if from_upper { ('I', 'i') } else { ('i', 'I') };
                 let mut changed = 0;
                 for c in chunks {
                     if !stm(RT::read(self.tx, c))?.contains(from) {
@@ -1236,6 +1231,23 @@ mod tests {
     #[test]
     fn tl2_sharded_roundtrip() {
         check_backend(Tl2Runtime::default(), Granularity::Sharded);
+    }
+
+    /// OP11's direction is a property of the whole manual, not of the
+    /// chunk that happens to come first: a manual whose first half is
+    /// lowercase and whose second half is uppercase swaps `I→i` under
+    /// both granularities (the generated manual never holds both cases).
+    #[test]
+    fn chunked_swap_case_follows_the_whole_manual() {
+        let mut ws = Workspace::build(StructureParams::tiny(), 21);
+        let half = ws.params.manual_size / 2;
+        ws.manual.text = "i".repeat(half) + &"I".repeat(half);
+        for granularity in [Granularity::Monolithic, Granularity::Sharded] {
+            let backend = StmBackend::from_workspace(&ws, Tl2Runtime::default(), granularity);
+            assert_eq!(backend.execute(&write_spec(), &mut SwapManual), half);
+            assert_eq!(backend.execute(&spec(), &mut CountI), 0, "{granularity:?}");
+            assert_eq!(backend.export().manual.text, "i".repeat(2 * half));
+        }
     }
 
     #[test]
