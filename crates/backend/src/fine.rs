@@ -67,7 +67,7 @@ use parking_lot::{RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 use stmbench7_data::access::PoolKind;
 use stmbench7_data::btree::BTree;
-use stmbench7_data::sharded::ShardedIndex;
+use stmbench7_data::sharded::{ShardMap, ShardedIndex};
 use stmbench7_data::spec::AccessSpec;
 use stmbench7_data::workspace::{
     AtomicGroup, BaseGroup, ComplexLevelGroup, CompositeGroup, DocGroup, SmState, Store, Workspace,
@@ -211,12 +211,14 @@ struct FineWorld {
     /// per-shard locks, routed by part id (shard `s` holds the entries of
     /// parts with `id % shards == s`).
     by_date: Vec<RwLock<BTree<(i32, u32), ()>>>,
+    /// Routes a part id to its `by_date` shard.
+    date_map: ShardMap,
 }
 
 impl FineWorld {
     /// The date-index shard a part id routes to.
     fn date_shard_of(&self, raw: u32) -> usize {
-        raw as usize % self.by_date.len()
+        self.date_map.shard(raw)
     }
 }
 
@@ -285,8 +287,8 @@ impl FineBackend {
                 .expect("composite document exists")
                 .clone();
             doc_owner.insert(comp.doc.raw(), raw);
-            let mut parts = HashMap::with_capacity(comp.parts.len());
-            for pid in &comp.parts {
+            let mut parts = HashMap::with_capacity(comp.graph.parts.len());
+            for pid in &comp.graph.parts {
                 let part = ws
                     .atomics
                     .store
@@ -330,6 +332,7 @@ impl FineBackend {
                 atomic_owner,
                 doc_owner,
                 by_title: ws.documents.by_title,
+                date_map: ShardMap::new(ws.atomics.by_date.shard_count()),
                 by_date: ws
                     .atomics
                     .by_date
@@ -1643,7 +1646,7 @@ mod tests {
     impl TxOperation<(i32, i32)> for SwapFirstPart {
         fn run<T: Sb7Tx>(&mut self, tx: &mut T) -> TxR<(i32, i32)> {
             let comp = tx.lookup_composite(1)?.expect("composite 1 exists");
-            let part = tx.composite(comp, |c| c.root_part)?;
+            let part = tx.composite(comp, |c| c.graph.root())?;
             tx.atomic_mut(part, |p| {
                 p.swap_xy();
                 (p.x, p.y)
@@ -1762,7 +1765,7 @@ mod tests {
             let mut sum = 0i64;
             for raw in 1..=(1 + extra) {
                 if let Some(comp) = tx.lookup_composite(raw)? {
-                    let part = tx.composite(comp, |c| c.root_part)?;
+                    let part = tx.composite(comp, |c| c.graph.root())?;
                     sum += tx.atomic(part, |p| i64::from(p.x))?;
                 }
             }
@@ -1801,7 +1804,7 @@ mod tests {
                 let raw = 1 + (self.attempts % 2);
                 self.attempts += 1;
                 let comp = tx.lookup_composite(raw)?.expect("composites 1 and 2 exist");
-                let part = tx.composite(comp, |c| c.root_part)?;
+                let part = tx.composite(comp, |c| c.graph.root())?;
                 tx.atomic(part, |p| i64::from(p.x))
             }
         }

@@ -27,7 +27,7 @@ use parking_lot::{Mutex, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use stmbench7_obs::{ContentionCounters, ContentionSnapshot, EventKind, Layer, Recorder};
 
 use stmbench7_data::btree::BTree;
-use stmbench7_data::sharded::MAX_SHARDS;
+use stmbench7_data::sharded::{ShardMap, MAX_SHARDS};
 use stmbench7_data::spec::{AccessSpec, Mode, MAX_LEVELS};
 use stmbench7_data::workspace::{
     AtomicGroup, AtomicSlice, BaseGroup, ComplexLevelGroup, CompositeGroup, DirectTx, DocGroup,
@@ -215,7 +215,7 @@ pub(crate) fn unwrap_lock_result<R>(r: TxR<R>) -> R {
 /// index 1 (id) and index 2 (build date — whose `(date, id)` entries
 /// route by id, so a date update touches exactly one shard).
 pub struct AtomicLockShard {
-    shards: usize,
+    map: ShardMap,
     store: Store<AtomicPart>,
     by_id: BTree<u32, ()>,
     by_date: BTree<(i32, u32), ()>,
@@ -223,7 +223,7 @@ pub struct AtomicLockShard {
 
 impl AtomicLockShard {
     fn local(&self, raw: u32) -> u32 {
-        raw / self.shards as u32
+        self.map.local(raw)
     }
 
     /// Fills the store during construction, when the index slices are
@@ -299,6 +299,8 @@ pub struct MediumBackend {
     complexes: Vec<RwLock<ComplexLevelGroup>>,
     composites: RwLock<CompositeGroup>,
     atomics: Vec<RwLock<AtomicLockShard>>,
+    /// Routes a raw id to its shard in `atomics`.
+    atomics_map: ShardMap,
     documents: RwLock<DocGroup>,
     manual: RwLock<Manual>,
     obs: LockObs,
@@ -309,21 +311,22 @@ impl MediumBackend {
     /// splitting the atomic-part group `params.index_shards` ways.
     pub fn new(ws: Workspace) -> Self {
         let shards = ws.params.effective_shards();
-        let local_max = ws.params.max_atomics() / shards as u32;
+        let map = ShardMap::new(shards);
+        let local_max = map.local(ws.params.max_atomics());
         let by_id_shards = ws.atomics.by_id.into_shards();
         let by_date_shards = ws.atomics.by_date.into_shards();
         let mut atomics: Vec<AtomicLockShard> = by_id_shards
             .into_iter()
             .zip(by_date_shards)
             .map(|(by_id, by_date)| AtomicLockShard {
-                shards,
+                map,
                 store: Store::new(local_max),
                 by_id,
                 by_date,
             })
             .collect();
         for (raw, part) in ws.atomics.store.into_entries() {
-            atomics[raw as usize % shards].create_store_only(raw, part);
+            atomics[map.shard(raw)].create_store_only(raw, part);
         }
         MediumBackend {
             params: ws.params,
@@ -333,6 +336,7 @@ impl MediumBackend {
             complexes: ws.complexes.into_iter().map(RwLock::new).collect(),
             composites: RwLock::new(ws.composites),
             atomics: atomics.into_iter().map(RwLock::new).collect(),
+            atomics_map: map,
             documents: RwLock::new(ws.documents),
             manual: RwLock::new(ws.manual),
             obs: LockObs::default(),
@@ -411,7 +415,7 @@ impl Backend for MediumBackend {
             complex_levels: self.complexes.len(),
             composites,
             atomics,
-            shards: self.atomics.len(),
+            map: self.atomics_map,
             documents,
             manual,
         };
@@ -505,7 +509,9 @@ pub struct MediumTx<'a> {
     complex_levels: usize,
     composites: Guard<'a, CompositeGroup>,
     atomics: [Guard<'a, AtomicLockShard>; MAX_SHARDS],
-    shards: usize,
+    /// Routes a raw id to its slot in `atomics`; `map.count()` slots are
+    /// configured.
+    map: ShardMap,
     documents: Guard<'a, DocGroup>,
     manual: Guard<'a, Manual>,
 }
@@ -586,14 +592,14 @@ impl LockGroups for MediumTx<'_> {
     /// exactly as for undeclared groups).
     #[inline]
     fn atomic_group(&self, raw: u32) -> TxR<&AtomicLockShard> {
-        self.atomics[raw as usize % self.shards].get()
+        self.atomics[self.map.shard(raw)].get()
     }
     #[inline]
     fn atomic_group_mut(&mut self, raw: u32) -> TxR<&mut AtomicLockShard> {
-        self.atomics[raw as usize % self.shards].get_mut()
+        self.atomics[self.map.shard(raw)].get_mut()
     }
     fn atomic_groups(&self) -> impl Iterator<Item = TxR<&AtomicLockShard>> {
-        self.atomics[..self.shards].iter().map(Guard::get)
+        self.atomics[..self.map.count()].iter().map(Guard::get)
     }
 }
 
@@ -776,7 +782,6 @@ mod tests {
                         build_date: 1000,
                         x: 0,
                         y: 0,
-                        to: vec![],
                         owner: comp,
                     })
                     .map(drop),
@@ -788,8 +793,7 @@ mod tests {
                         kind: 0,
                         build_date: 1000,
                         doc,
-                        root_part: part,
-                        parts: vec![],
+                        graph: Default::default(),
                         used_in: vec![],
                     })
                     .map(drop),

@@ -22,7 +22,7 @@ use stmbench7_obs::{EventKind, Layer, Recorder};
 
 use stmbench7_data::access::PoolKind;
 use stmbench7_data::btree::BTree;
-use stmbench7_data::sharded::{shard_of_str, ShardedIndex};
+use stmbench7_data::sharded::{shard_of_str, ShardMap, ShardedIndex};
 use stmbench7_data::spec::AccessSpec;
 use stmbench7_data::workspace::{
     AtomicGroup, BaseGroup, ComplexLevelGroup, CompositeGroup, DocGroup, Pools, SmState, Store,
@@ -80,10 +80,6 @@ fn stm_buckets(params: &StructureParams) -> usize {
     }
 }
 
-fn shard_of(raw: u32, buckets: usize) -> usize {
-    raw as usize % buckets
-}
-
 /// Collapses a (possibly sharded) workspace index into one tree — the
 /// monolithic transactional representation whose copy-on-write cost the
 /// paper measures.
@@ -111,7 +107,8 @@ fn stm<T>(r: StmResult<T>) -> TxR<T> {
 /// indexes, `u8` for the complex-assembly level index).
 enum MapIndex<RT: StmRuntime, V: TxVal + Copy + Ord> {
     Mono(RT::Var<BTree<u32, V>>),
-    Sharded(Vec<RT::Var<Vec<(u32, V)>>>),
+    /// Sorted buckets; the map routes a raw id to its bucket.
+    Sharded(ShardMap, Vec<RT::Var<Vec<(u32, V)>>>),
 }
 
 impl<RT: StmRuntime, V: TxVal + Copy + Ord> MapIndex<RT, V> {
@@ -124,9 +121,10 @@ impl<RT: StmRuntime, V: TxVal + Copy + Ord> MapIndex<RT, V> {
         match granularity {
             Granularity::Monolithic => MapIndex::Mono(rt.new_var(to_btree(entries))),
             Granularity::Sharded => {
+                let map = ShardMap::new(buckets);
                 let mut split: Vec<Vec<(u32, V)>> = vec![Vec::new(); buckets];
-                entries.for_each(|k, v| split[shard_of(*k, buckets)].push((*k, *v)));
-                MapIndex::Sharded(split.into_iter().map(|b| rt.new_var(b)).collect())
+                entries.for_each(|k, v| split[map.shard(*k)].push((*k, *v)));
+                MapIndex::Sharded(map, split.into_iter().map(|b| rt.new_var(b)).collect())
             }
         }
     }
@@ -134,8 +132,8 @@ impl<RT: StmRuntime, V: TxVal + Copy + Ord> MapIndex<RT, V> {
     fn get(&self, tx: &mut RT::Tx<'_>, raw: u32) -> StmResult<Option<V>> {
         match self {
             MapIndex::Mono(var) => Ok(RT::read(tx, var)?.get(&raw).copied()),
-            MapIndex::Sharded(buckets) => {
-                let bucket = RT::read(tx, &buckets[shard_of(raw, buckets.len())])?;
+            MapIndex::Sharded(map, buckets) => {
+                let bucket = RT::read(tx, &buckets[map.shard(raw)])?;
                 Ok(bucket
                     .binary_search_by_key(&raw, |(k, _)| *k)
                     .ok()
@@ -149,13 +147,11 @@ impl<RT: StmRuntime, V: TxVal + Copy + Ord> MapIndex<RT, V> {
             MapIndex::Mono(var) => RT::update(tx, var, |t| {
                 t.insert(raw, value);
             }),
-            MapIndex::Sharded(buckets) => {
-                RT::update(tx, &buckets[shard_of(raw, buckets.len())], |b| {
-                    if let Err(i) = b.binary_search_by_key(&raw, |(k, _)| *k) {
-                        b.insert(i, (raw, value));
-                    }
-                })
-            }
+            MapIndex::Sharded(map, buckets) => RT::update(tx, &buckets[map.shard(raw)], |b| {
+                if let Err(i) = b.binary_search_by_key(&raw, |(k, _)| *k) {
+                    b.insert(i, (raw, value));
+                }
+            }),
         }
     }
 
@@ -164,13 +160,11 @@ impl<RT: StmRuntime, V: TxVal + Copy + Ord> MapIndex<RT, V> {
             MapIndex::Mono(var) => RT::update(tx, var, |t| {
                 t.remove(&raw);
             }),
-            MapIndex::Sharded(buckets) => {
-                RT::update(tx, &buckets[shard_of(raw, buckets.len())], |b| {
-                    if let Ok(i) = b.binary_search_by_key(&raw, |(k, _)| *k) {
-                        b.remove(i);
-                    }
-                })
-            }
+            MapIndex::Sharded(map, buckets) => RT::update(tx, &buckets[map.shard(raw)], |b| {
+                if let Ok(i) = b.binary_search_by_key(&raw, |(k, _)| *k) {
+                    b.remove(i);
+                }
+            }),
         }
     }
 
@@ -183,7 +177,7 @@ impl<RT: StmRuntime, V: TxVal + Copy + Ord> MapIndex<RT, V> {
                 t.for_each(|k, _| out.push(*k));
                 Ok(out)
             }
-            MapIndex::Sharded(buckets) => {
+            MapIndex::Sharded(_, buckets) => {
                 let mut out = Vec::new();
                 for b in buckets {
                     out.extend(RT::read(tx, b)?.iter().map(|(k, _)| *k));
@@ -202,7 +196,7 @@ impl<RT: StmRuntime, V: TxVal + Copy + Ord> MapIndex<RT, V> {
                 t.for_each(|k, v| out.push((*k, *v)));
                 out
             }
-            MapIndex::Sharded(buckets) => {
+            MapIndex::Sharded(_, buckets) => {
                 let mut out = Vec::new();
                 for b in buckets {
                     out.extend(rt.read_quiesced(b).iter().copied());

@@ -19,7 +19,7 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
 use stmbench7_data::spec::{AccessSpec, Mode, ShardSet};
-use stmbench7_data::{OpOutcome, Sb7Tx, ShardKey, StructureParams, TxR};
+use stmbench7_data::{OpOutcome, Sb7Tx, ShardMap, StructureParams, TxR};
 
 /// The paper's four operation categories.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -377,6 +377,7 @@ pub fn shard_hint(op: OpKind, ctx: &OpCtx) -> Option<ShardSet> {
     if shards <= 1 {
         return None;
     }
+    let map = ShardMap::new(shards);
     // `begin_attempt` restores the pre-execution RNG state for every
     // attempt, so replaying the leading draws against a clone of the
     // generator is exact by construction. Only the generator is cloned —
@@ -389,7 +390,7 @@ pub fn shard_hint(op: OpKind, ctx: &OpCtx) -> Option<ShardSet> {
             let mut rng = ctx.rng.clone();
             let mut set = ShardSet::EMPTY;
             for _ in 0..10 {
-                set = set.with(rng.gen_range(1..=max).shard(shards));
+                set = set.with(map.shard(rng.gen_range(1..=max)));
             }
             Some(set)
         }
@@ -397,9 +398,7 @@ pub fn shard_hint(op: OpKind, ctx: &OpCtx) -> Option<ShardSet> {
             // `ancestors_of_random_part` draws its single id first; the
             // walk upward reads that one part's owner and then leaves the
             // atomic group entirely.
-            Some(ShardSet::of(
-                ctx.rng.clone().gen_range(1..=max).shard(shards),
-            ))
+            Some(ShardSet::of(map.shard(ctx.rng.clone().gen_range(1..=max))))
         }
         _ => None,
     }
@@ -428,7 +427,7 @@ pub fn primary_shard(op: OpKind, params: &StructureParams, rng_seed: u64) -> Opt
     match op {
         OpKind::Op1 | OpKind::Op9 | OpKind::Op15 | OpKind::St3 | OpKind::St8 => {
             let mut rng = SmallRng::seed_from_u64(rng_seed);
-            Some(rng.gen_range(1..=params.max_atomics()).shard(shards))
+            Some(ShardMap::new(shards).shard(rng.gen_range(1..=params.max_atomics())))
         }
         _ => None,
     }

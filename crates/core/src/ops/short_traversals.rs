@@ -7,6 +7,8 @@
 //! mechanism extensively, because operations lack input data and thus have
 //! to make choices randomly").
 
+use std::sync::Arc;
+
 use rand::Rng;
 
 use stmbench7_data::objects::AssemblyChildren;
@@ -70,7 +72,7 @@ fn st1_impl<T: Sb7Tx>(tx: &mut T, ctx: &mut OpCtx, update: bool) -> TxR<OpOutcom
         Err(reason) => return Ok(OpOutcome::Fail(reason)),
     };
     let part = tx
-        .composite(comp, |c| pick(&mut ctx.rng, &c.parts))?
+        .composite(comp, |c| pick(&mut ctx.rng, &c.graph.parts))?
         .expect("composite parts always have graphs");
     let sum = tx.atomic(part, |p| i64::from(p.x) + i64::from(p.y))?;
     if update {
@@ -224,7 +226,7 @@ fn st9_impl<T: Sb7Tx>(tx: &mut T, ctx: &mut OpCtx, update: bool) -> TxR<OpOutcom
         Ok(pair) => pair,
         Err(reason) => return Ok(OpOutcome::Fail(reason)),
     };
-    let root = tx.composite(comp, |c| c.root_part)?;
+    let graph = tx.composite(comp, |c| Arc::clone(&c.graph))?;
     // T1's search; ST10's update is T2b's one swap per part.
     let action = if update {
         PartAction::UpdateAll {
@@ -235,7 +237,7 @@ fn st9_impl<T: Sb7Tx>(tx: &mut T, ctx: &mut OpCtx, update: bool) -> TxR<OpOutcom
         PartAction::Read
     };
     let mut checksum = 0i64;
-    let visited = traverse_graph(tx, root, action, &mut checksum)?;
+    let visited = traverse_graph(tx, &graph, action, &mut checksum)?;
     std::hint::black_box(checksum);
     Ok(OpOutcome::Done(visited))
 }

@@ -42,7 +42,7 @@ pub fn sm2<T: Sb7Tx>(tx: &mut T, ctx: &mut OpCtx) -> TxR<OpOutcome> {
     }
     tx.delete_document(removed.doc)?;
     let mut deleted_parts = 0i64;
-    for part in &removed.parts {
+    for part in &removed.graph.parts {
         tx.delete_atomic(*part)?;
         deleted_parts += 1;
     }

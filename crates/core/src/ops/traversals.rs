@@ -9,14 +9,18 @@
 //! The depth-first search over an atomic graph (`traverse_graph`, which
 //! also serves ST9/ST10) borrows its thread's `Walk`: a visited bitset
 //! and a stack that live from walk to walk, so a visit allocates nothing.
-//! A part's targets go onto the stack inside the `atomic` closure, in
-//! `to` order, and are popped last-in first-out. That search order fixes
-//! every update order and every returned value, which
+//! It walks *local* indexes of the composite part's immutable
+//! [`PartGraph`]: each visited part is opened once through `tx.atomic`,
+//! then its targets go onto the stack from the graph's CSR arrays, in
+//! connection order, and are popped last-in first-out. That search order
+//! fixes every update order and every returned value, which
 //! `tests/op_outcomes_pinned.rs` holds to constants.
+
+use std::sync::Arc;
 
 use stmbench7_data::objects::AssemblyChildren;
 use stmbench7_data::{
-    AtomicPart, AtomicPartId, BaseAssemblyId, ComplexAssemblyId, OpOutcome, Sb7Tx, TxR,
+    AtomicPart, BaseAssemblyId, ComplexAssemblyId, OpOutcome, PartGraph, Sb7Tx, TxR,
 };
 
 use super::visit::Walk;
@@ -51,35 +55,32 @@ pub(crate) fn collect_bases_depth_first<T: Sb7Tx>(tx: &mut T) -> TxR<Vec<BaseAss
     Ok(bases)
 }
 
-/// Depth-first search over one composite part's atomic graph, applying
-/// `action`. Returns the number of parts visited.
+/// Depth-first search over one composite part's atomic graph from its
+/// root part, applying `action`. Returns the number of parts visited.
 pub(crate) fn traverse_graph<T: Sb7Tx>(
     tx: &mut T,
-    root: AtomicPartId,
+    graph: &PartGraph,
     action: PartAction,
     checksum: &mut i64,
 ) -> TxR<i64> {
     if matches!(action, PartAction::ReadRootOnly) {
-        *checksum += tx.atomic(root, |p| i64::from(p.x) + i64::from(p.y))?;
+        *checksum += tx.atomic(graph.root(), |p| i64::from(p.x) + i64::from(p.y))?;
         return Ok(1);
     }
     Walk::with(|walk| {
         walk.begin();
-        walk.stack.push(root.raw());
-        while let Some(raw) = walk.stack.pop() {
-            if !walk.insert(raw) {
+        walk.stack.push(0);
+        while let Some(local) = walk.stack.pop() {
+            if !walk.insert(local) {
                 continue;
             }
-            let id = AtomicPartId(raw);
-            let stack = &mut walk.stack;
-            tx.atomic(id, |p| {
-                *checksum += i64::from(p.x) + i64::from(p.y);
-                stack.extend(p.to.iter().map(|c| c.to.raw()));
-            })?;
+            let id = graph.parts[local as usize];
+            *checksum += tx.atomic(id, |p| i64::from(p.x) + i64::from(p.y))?;
+            walk.stack.extend_from_slice(graph.targets(local as usize));
             let do_update = match action {
                 PartAction::Read | PartAction::ReadRootOnly => None,
                 PartAction::UpdateRoot { indexed, times } => {
-                    (id == root).then_some((indexed, times))
+                    (local == 0).then_some((indexed, times))
                 }
                 PartAction::UpdateAll { indexed, times } => Some((indexed, times)),
             };
@@ -107,8 +108,8 @@ fn t_family<T: Sb7Tx>(tx: &mut T, action: PartAction) -> TxR<OpOutcome> {
     for base in bases {
         let comps = tx.base(base, |b| b.components.clone())?;
         for comp in comps {
-            let root_part = tx.composite(comp, |c| c.root_part)?;
-            count += traverse_graph(tx, root_part, action, &mut checksum)?;
+            let graph = tx.composite(comp, |c| Arc::clone(&c.graph))?;
+            count += traverse_graph(tx, &graph, action, &mut checksum)?;
         }
     }
     std::hint::black_box(checksum);
@@ -295,13 +296,13 @@ mod tests {
     fn traverse_graph_read_visits_connected_component() {
         let p = StructureParams::tiny();
         let mut ws = Workspace::build(p.clone(), 3);
-        let root = ws.composites.store.get(1).unwrap().root_part;
+        let graph = Arc::clone(&ws.composites.store.get(1).unwrap().graph);
         let mut tx = DirectTx::writing(&mut ws);
         let mut checksum = 0;
-        let n = traverse_graph(&mut tx, root, PartAction::Read, &mut checksum).unwrap();
+        let n = traverse_graph(&mut tx, &graph, PartAction::Read, &mut checksum).unwrap();
         // Graphs are ring-connected, so the DFS covers the whole graph.
         assert_eq!(n, p.atomics_per_comp as i64);
-        let one = traverse_graph(&mut tx, root, PartAction::ReadRootOnly, &mut checksum).unwrap();
+        let one = traverse_graph(&mut tx, &graph, PartAction::ReadRootOnly, &mut checksum).unwrap();
         assert_eq!(one, 1);
     }
 
@@ -309,13 +310,13 @@ mod tests {
     fn update_actions_report_the_same_counts_as_read() {
         let p = StructureParams::tiny();
         let mut ws = Workspace::build(p.clone(), 3);
-        let root = ws.composites.store.get(2).unwrap().root_part;
+        let graph = Arc::clone(&ws.composites.store.get(2).unwrap().graph);
         let mut tx = DirectTx::writing(&mut ws);
         let mut checksum = 0;
-        let read = traverse_graph(&mut tx, root, PartAction::Read, &mut checksum).unwrap();
+        let read = traverse_graph(&mut tx, &graph, PartAction::Read, &mut checksum).unwrap();
         let updated = traverse_graph(
             &mut tx,
-            root,
+            &graph,
             PartAction::UpdateAll {
                 indexed: false,
                 times: 2,

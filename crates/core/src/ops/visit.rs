@@ -3,31 +3,35 @@
 //! A walk needs a visited set and a stack. Allocating both per walk — a
 //! SipHash hash set per atomic graph — cost more than the visits
 //! themselves, so each thread keeps one [`Walk`] and lends it to one walk
-//! at a time:
+//! at a time. A walk keys it by whatever dense `u32` it walks: the atomic
+//! graph walks by a part's local index in its composite part's
+//! [`stmbench7_data::PartGraph`], ST3/ST8 by complex-assembly raw id.
 //!
-//! * the **visited bitset** has one bit per raw id and grows on demand to
-//!   the largest raw id seen. It is never sized from the structure
-//!   parameters: SM1 hands out ids above the initial population, and one
-//!   thread may walk workspaces of several presets;
-//! * the **visited list** records the ids set since the last
+//! * the **visited bitset** has one bit per key and grows on demand to
+//!   the largest key seen. It is never sized from the structure
+//!   parameters: SM1 and SM7 hand out ids above the initial population,
+//!   and one thread may walk workspaces of several presets;
+//! * the **visited list** records the keys set since the last
 //!   [`Walk::begin`], which clears exactly those bits. A walk that ends
 //!   in an error, an abort or an early return therefore leaves nothing
 //!   stale behind, and the list's length is the visited count;
 //! * the **stack** keeps its capacity from walk to walk.
 //!
-//! One bit per id keeps the standard preset's 100 k parts in ~16 KiB
-//! and the paper-full preset's 50 M in ~6 MiB per thread.
+//! An atomic graph's local indexes stop at its part count: 200 bits, half
+//! a cache line, at `standard`, and ~12 KiB at `paper-full`'s 100 000
+//! parts per graph. ST3/ST8's keys stay below the complex-assembly pool
+//! bound.
 
 use std::cell::Cell;
 
-/// A visited bitset over raw ids, the ids it holds in insertion order,
-/// and a reusable stack of raw ids.
+/// A visited bitset over `u32` keys, the keys it holds in insertion
+/// order, and a reusable stack of keys.
 #[derive(Default)]
 pub(crate) struct Walk {
     bits: Vec<u64>,
     visited: Vec<u32>,
-    /// The walk's stack (or work list) of raw ids; [`Walk::begin`]
-    /// empties it.
+    /// The walk's stack (or work list) of keys; [`Walk::begin`] empties
+    /// it.
     pub(crate) stack: Vec<u32>,
 }
 
@@ -72,7 +76,7 @@ impl Walk {
         true
     }
 
-    /// The ids visited since [`Walk::begin`], in visiting order.
+    /// The keys visited since [`Walk::begin`], in visiting order.
     pub(crate) fn visited(&self) -> &[u32] {
         &self.visited
     }
@@ -82,8 +86,10 @@ impl Walk {
 mod tests {
     use std::collections::BTreeSet;
 
+    use std::sync::Arc;
+
     use stmbench7_data::{
-        AtomicPartId, BaseAssemblyId, CompositePartId, DirectTx, OpOutcome, Sb7Tx, StructureParams,
+        BaseAssemblyId, CompositePartId, DirectTx, OpOutcome, PartGraph, Sb7Tx, StructureParams,
         Workspace,
     };
 
@@ -91,56 +97,55 @@ mod tests {
     use crate::ops::traversals::{traverse_graph, PartAction};
     use crate::ops::{run_op, OpCtx, OpKind};
 
-    /// The reference: a depth-first reachability count with a fresh set.
-    fn reference_count(ws: &Workspace, root: AtomicPartId) -> i64 {
+    /// The reference: a depth-first reachability count over part ids
+    /// with a fresh set.
+    fn reference_count(graph: &PartGraph) -> i64 {
+        let local = |id| graph.parts.iter().position(|&p| p == id).unwrap();
         let mut seen = BTreeSet::new();
-        let mut stack = vec![root];
+        let mut stack = vec![graph.root()];
         while let Some(id) = stack.pop() {
             if seen.insert(id) {
-                let part = ws.atomics.store.get(id.raw()).expect("linked part exists");
-                stack.extend(part.to.iter().map(|c| c.to));
+                stack.extend(graph.connections(local(id)).map(|c| c.to));
             }
         }
         seen.len() as i64
     }
 
-    fn root_of(ws: &Workspace, comp: u32) -> AtomicPartId {
-        ws.composites.store.get(comp).expect("composite").root_part
+    fn graph_of(ws: &Workspace, comp: u32) -> Arc<PartGraph> {
+        Arc::clone(&ws.composites.store.get(comp).expect("composite").graph)
     }
 
-    fn walk_count(ws: &Workspace, root: AtomicPartId) -> i64 {
+    fn walk_count(ws: &Workspace, graph: &PartGraph) -> i64 {
         let mut tx = DirectTx::reading(ws);
-        traverse_graph(&mut tx, root, PartAction::Read, &mut 0).expect("read-only walk")
+        traverse_graph(&mut tx, graph, PartAction::Read, &mut 0).expect("read-only walk")
     }
 
     #[test]
     fn walks_alternating_between_presets_match_a_set_reference() {
-        // Tiny's ids all lie inside standard's range, so a bit left
-        // standing by one preset's walk would hide parts of the other's.
+        // Tiny's local indexes all lie inside standard's range, so a bit
+        // left standing by one preset's walk would hide parts of the
+        // other's.
         let tiny = Workspace::build(StructureParams::tiny(), 3);
         let standard = Workspace::build(StructureParams::standard(), 3);
         for comp in 1..=12 {
             for ws in [&tiny, &standard, &tiny] {
-                let root = root_of(ws, comp);
+                let graph = graph_of(ws, comp);
                 assert_eq!(
-                    walk_count(ws, root),
-                    reference_count(ws, root),
+                    walk_count(ws, &graph),
+                    reference_count(&graph),
                     "comp {comp}"
                 );
             }
         }
-        let last = root_of(&standard, 500);
-        assert_eq!(
-            walk_count(&standard, last),
-            reference_count(&standard, last)
-        );
+        let last = graph_of(&standard, 500);
+        assert_eq!(walk_count(&standard, &last), reference_count(&last));
     }
 
     #[test]
     fn a_walk_that_fails_partway_leaves_no_stale_bit() {
         let p = StructureParams::tiny();
         let ws = Workspace::build(p.clone(), 3);
-        let root = root_of(&ws, 1);
+        let graph = graph_of(&ws, 1);
         let mut tx = DirectTx::reading(&ws);
         // The read-only transaction refuses the first update, after the
         // walk has marked the root and pushed its targets.
@@ -148,26 +153,26 @@ mod tests {
             indexed: false,
             times: 1,
         };
-        assert!(traverse_graph(&mut tx, root, update, &mut 0).is_err());
-        assert_eq!(walk_count(&ws, root), p.atomics_per_comp as i64);
+        assert!(traverse_graph(&mut tx, &graph, update, &mut 0).is_err());
+        assert_eq!(walk_count(&ws, &graph), p.atomics_per_comp as i64);
     }
 
     #[test]
     fn a_nested_walk_gets_a_fresh_scratch() {
         let p = StructureParams::tiny();
         let ws = Workspace::build(p.clone(), 3);
-        let root = root_of(&ws, 2);
+        let graph = graph_of(&ws, 2);
         Walk::with(|outer| {
             outer.begin();
-            assert!(outer.insert(root.raw()));
+            assert!(outer.insert(0));
             // The thread's scratch is lent out, so this walk builds its
             // own and neither walk sees the other's bits.
-            assert_eq!(walk_count(&ws, root), p.atomics_per_comp as i64);
-            assert!(!outer.insert(root.raw()), "the outer walk keeps its bit");
-            assert_eq!(outer.visited(), &[root.raw()]);
+            assert_eq!(walk_count(&ws, &graph), p.atomics_per_comp as i64);
+            assert!(!outer.insert(0), "the outer walk keeps its bit");
+            assert_eq!(outer.visited(), &[0]);
         });
         // The outer scratch went back to the thread with its bit set.
-        assert_eq!(walk_count(&ws, root), p.atomics_per_comp as i64);
+        assert_eq!(walk_count(&ws, &graph), p.atomics_per_comp as i64);
     }
 
     #[test]
@@ -189,6 +194,7 @@ mod tests {
                         .store
                         .get(c.raw())
                         .expect("linked")
+                        .graph
                         .parts
                         .len() as i64
                 })
@@ -206,7 +212,7 @@ mod tests {
         let base = BaseAssemblyId(1);
         tx.base_mut(base, |b| b.components.push(comp)).unwrap();
         tx.composite_mut(comp, |c| c.used_in.push(base)).unwrap();
-        let new_parts = ws.composites.store.get(comp.raw()).unwrap().parts.clone();
+        let new_parts = graph_of(&ws, comp.raw()).parts.clone();
         assert!(
             new_parts.iter().all(|id| id.raw() > seen),
             "SM1 grew the id range"

@@ -8,14 +8,16 @@
 //! operations: SM1 uses [`create_composite_with_graph`], SM7 uses
 //! [`build_assembly_subtree`].
 
+use std::sync::Arc;
+
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
 use crate::access::{PoolKind, Sb7Tx, TxR};
 use crate::ids::{BaseAssemblyId, ComplexAssemblyId, CompositePartId};
 use crate::objects::{
-    AssemblyChildren, AtomicPart, BaseAssembly, ComplexAssembly, CompositePart, Connection,
-    Document, CONNECTION_TYPES, DESIGN_TYPES,
+    AssemblyChildren, AtomicPart, BaseAssembly, ComplexAssembly, CompositePart, Document,
+    PartGraph, CONNECTION_TYPES, DESIGN_TYPES,
 };
 use crate::params::StructureParams;
 use crate::text;
@@ -70,8 +72,7 @@ pub fn create_composite_with_graph<T: Sb7Tx>(
         kind: comp_kind,
         build_date: comp_date,
         doc: crate::ids::DocumentId(0), // Patched below, after the document exists.
-        root_part: crate::ids::AtomicPartId(0), // Patched below.
-        parts: Vec::new(),
+        graph: Arc::default(),          // Patched below.
         used_in: Vec::new(),
     })?
     else {
@@ -105,35 +106,33 @@ pub fn create_composite_with_graph<T: Sb7Tx>(
                 build_date: date,
                 x,
                 y,
-                to: Vec::new(),
                 owner: comp_id,
             })?
             .expect("atomic pool capacity checked above");
         part_ids.push(id);
     }
-    for (i, &id) in part_ids.iter().enumerate() {
-        let mut conns = Vec::with_capacity(params.conns_per_atomic);
-        // Ring edge keeps the whole graph reachable from parts[0].
-        conns.push(Connection {
-            kind: rng.gen_range(0..CONNECTION_TYPES.len() as u8),
-            length: rng.gen_range(1..1_000),
-            to: part_ids[(i + 1) % n],
-        });
-        for _ in 1..params.conns_per_atomic {
-            conns.push(Connection {
-                kind: rng.gen_range(0..CONNECTION_TYPES.len() as u8),
-                length: rng.gen_range(1..1_000),
-                to: part_ids[rng.gen_range(0..n)],
-            });
-        }
-        tx.atomic_mut(id, |p| p.to = conns)?;
+    let conns = params.conns_per_atomic;
+    let mut graph = PartGraph::with_parts(part_ids, n * conns);
+    for i in 0..n {
+        // Each connection draws its kind, then its length, then (past the
+        // ring edge) its target. The ring edge keeps the whole graph
+        // reachable from the root, local index 0.
+        graph.push_part_edges((0..conns).map(|c| {
+            let kind = rng.gen_range(0..CONNECTION_TYPES.len() as u8);
+            let length = rng.gen_range(1..1_000);
+            let to = if c == 0 {
+                (i + 1) % n
+            } else {
+                rng.gen_range(0..n)
+            };
+            (kind, length, to as u32)
+        }));
     }
 
-    let root_part = part_ids[0];
+    let graph = Arc::new(graph);
     tx.composite_mut(comp_id, |c| {
         c.doc = doc_id;
-        c.root_part = root_part;
-        c.parts = part_ids;
+        c.graph = graph;
     })?;
     Ok(Some(comp_id))
 }
@@ -328,15 +327,18 @@ mod tests {
         let p = StructureParams::tiny();
         let ws = Workspace::build(p.clone(), 3);
         let comp = ws.composites.store.get(1).unwrap();
-        assert_eq!(comp.parts.len(), p.atomics_per_comp);
-        assert_eq!(comp.root_part, comp.parts[0]);
-        // Every part has the right number of connections, all internal.
-        for &pid in &comp.parts {
+        let graph = &comp.graph;
+        assert_eq!(graph.parts.len(), p.atomics_per_comp);
+        // Every part has the right number of connections, all internal,
+        // the first of them to the next part around the ring.
+        for (i, &pid) in graph.parts.iter().enumerate() {
             let part = ws.atomics.store.get(pid.raw()).unwrap();
-            assert_eq!(part.to.len(), p.conns_per_atomic);
             assert_eq!(part.owner, comp.id);
-            for c in &part.to {
-                assert!(comp.parts.contains(&c.to));
+            assert_eq!(graph.targets(i).len(), p.conns_per_atomic);
+            assert_eq!(graph.targets(i)[0] as usize, (i + 1) % graph.parts.len());
+            for c in graph.connections(i) {
+                assert!(graph.parts.contains(&c.to));
+                assert!(usize::from(c.kind) < CONNECTION_TYPES.len());
             }
         }
         // Document is wired both ways.

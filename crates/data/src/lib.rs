@@ -14,7 +14,8 @@
 //!
 //! * [`ids`] — typed object ids and bounded id pools,
 //! * [`objects`] — the seven object kinds (module, manual, assemblies,
-//!   composite parts, atomic parts with embedded connections, documents),
+//!   composite parts with their immutable CSR graph of atomic parts and
+//!   connections, atomic parts, documents),
 //! * [`params`] — structure-size presets (`paper_full`, `standard`,
 //!   `small`, `tiny`),
 //! * [`btree`] — the B+tree used for every index,
@@ -52,9 +53,10 @@ pub use ids::{
 };
 pub use objects::{
     AtomicPart, BaseAssembly, ComplexAssembly, CompositePart, Connection, Document, Manual, Module,
+    PartGraph,
 };
 pub use params::StructureParams;
-pub use sharded::{ShardKey, ShardedIndex};
+pub use sharded::{ShardKey, ShardMap, ShardedIndex};
 pub use spec::{AccessSpec, Mode, ShardSet};
 pub use validate::{structural_diff, validate, Census};
 pub use workspace::{DirectTx, Workspace};

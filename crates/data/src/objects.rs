@@ -2,11 +2,20 @@
 //!
 //! Per the paper's specification (Appendix B.1) only the module and
 //! connection objects are immutable; everything else — including indexes,
-//! sets and bags — may be updated by operations. Connections are embedded
-//! in their source atomic part rather than stored as objects of their own:
-//! because they are immutable and live/die with their part graph,
-//! embedding preserves both locking and STM granularity while removing an
-//! arena.
+//! sets and bags — may be updated by operations. Connections are
+//! therefore not objects of their own, and not stored in the atomic parts
+//! either: each composite part holds one immutable [`PartGraph`] — its
+//! part list plus every connection in compressed sparse row form, indexed
+//! by a part's position in that list — behind an `Arc`. The long
+//! traversals open every atomic part (§5), so a part is kept to its
+//! mutable attributes (28 bytes as a store slot) and a walk reads its
+//! targets from one contiguous array instead of a heap vector per part.
+//! Copy-on-write STM clones of a composite part and `export()` share the
+//! graph instead of copying it, and locking and STM granularity stay what
+//! the paper prescribes: connections never change, so no lock or
+//! transactional variable ever needs to cover them.
+
+use std::sync::Arc;
 
 use crate::ids::{AtomicPartId, BaseAssemblyId, ComplexAssemblyId, CompositePartId, DocumentId};
 
@@ -19,8 +28,9 @@ pub const DESIGN_TYPES: &[&str] = &[
     "type #8", "type #9",
 ];
 
-/// An immutable connection between two atomic parts.
-#[derive(Clone, Debug, PartialEq, Eq)]
+/// An immutable connection between two atomic parts of one graph, as
+/// [`PartGraph::connections`] yields it.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Connection {
     /// Index into [`CONNECTION_TYPES`].
     pub kind: u8,
@@ -29,6 +39,87 @@ pub struct Connection {
     /// Destination atomic part (always within the same composite part's
     /// graph).
     pub to: AtomicPartId,
+}
+
+/// One composite part's graph of atomic parts, immutable once built.
+///
+/// Parts are addressed by their *local index*, their position in
+/// [`PartGraph::parts`]; local index 0 is the root part. Part `i`'s
+/// connections are edges `offsets[i]..offsets[i + 1]`, in the order the
+/// builder drew them, and edge `e` leads to local index `targets[e]` with
+/// connection type `kinds[e]` and length `lengths[e]`. [`crate::validate()`]
+/// checks the shape; the fields are public, like every object's, so that
+/// tests can corrupt it.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct PartGraph {
+    /// All atomic parts of the graph (OO7 keeps this set so ST1 can pick a
+    /// random descendant without traversing the graph); the root first.
+    pub parts: Vec<AtomicPartId>,
+    /// Row offsets into the edge arrays; `parts.len() + 1` entries.
+    pub offsets: Vec<u32>,
+    /// Each edge's destination, as a local index.
+    pub targets: Vec<u32>,
+    /// Each edge's connection type, an index into [`CONNECTION_TYPES`].
+    pub kinds: Vec<u8>,
+    /// Each edge's OO7 "length" attribute.
+    pub lengths: Vec<i32>,
+}
+
+impl PartGraph {
+    /// An edgeless graph over `parts`, ready for [`PartGraph::push_part_edges`].
+    pub fn with_parts(parts: Vec<AtomicPartId>, edges: usize) -> Self {
+        let mut offsets = Vec::with_capacity(parts.len() + 1);
+        offsets.push(0);
+        PartGraph {
+            parts,
+            offsets,
+            targets: Vec::with_capacity(edges),
+            kinds: Vec::with_capacity(edges),
+            lengths: Vec::with_capacity(edges),
+        }
+    }
+
+    /// Appends the next part's connections, given as `(kind, length,
+    /// target local index)` in connection order.
+    pub fn push_part_edges(&mut self, edges: impl IntoIterator<Item = (u8, i32, u32)>) {
+        for (kind, length, to) in edges {
+            self.kinds.push(kind);
+            self.lengths.push(length);
+            self.targets.push(to);
+        }
+        self.offsets.push(self.targets.len() as u32);
+    }
+
+    /// The root part, entry point of the traversals.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a graph without parts, which [`crate::validate()`] rejects.
+    pub fn root(&self) -> AtomicPartId {
+        self.parts[0]
+    }
+
+    /// The edge range of the part at local index `local`.
+    #[inline]
+    fn edges(&self, local: usize) -> std::ops::Range<usize> {
+        self.offsets[local] as usize..self.offsets[local + 1] as usize
+    }
+
+    /// The local indexes the part at local index `local` connects to, in
+    /// connection order.
+    #[inline]
+    pub fn targets(&self, local: usize) -> &[u32] {
+        &self.targets[self.edges(local)]
+    }
+
+    /// The connections of the part at local index `local`, in order.
+    pub fn connections(&self, local: usize) -> impl Iterator<Item = Connection> + '_ {
+        self.edges(local).map(|e| Connection {
+            kind: self.kinds[e],
+            length: self.lengths[e],
+            to: self.parts[self.targets[e] as usize],
+        })
+    }
 }
 
 /// An atomic part: the leaves of the design library graphs.
@@ -44,11 +135,14 @@ pub struct AtomicPart {
     pub x: i32,
     /// Non-indexed attribute updated together with `x`.
     pub y: i32,
-    /// Outgoing connections (immutable once built).
-    pub to: Vec<Connection>,
-    /// The composite part owning this part's graph.
+    /// The composite part owning this part's graph (which holds the
+    /// part's connections).
     pub owner: CompositePartId,
 }
+
+// A store slot is an `Option<AtomicPart>`, and a long traversal reads one
+// per part; keep the slot from silently growing back.
+const _: () = assert!(std::mem::size_of::<Option<AtomicPart>>() <= 32);
 
 impl AtomicPart {
     /// The non-indexed update the paper's operations perform: swap `x`/`y`.
@@ -87,11 +181,8 @@ pub struct CompositePart {
     pub build_date: i32,
     /// The associated documentation object.
     pub doc: DocumentId,
-    /// Entry point of the atomic-part graph.
-    pub root_part: AtomicPartId,
-    /// All atomic parts of this composite's graph (OO7 keeps this set so
-    /// ST1 can pick a random descendant without traversing the graph).
-    pub parts: Vec<AtomicPartId>,
+    /// The graph of atomic parts, shared by every copy of this part.
+    pub graph: Arc<PartGraph>,
     /// Bag of base assemblies using this composite part (the reverse side
     /// of the many-to-many association; duplicates allowed, it is a bag).
     pub used_in: Vec<BaseAssemblyId>,
@@ -178,7 +269,6 @@ mod tests {
             build_date: 1000,
             x: 3,
             y: 9,
-            to: vec![],
             owner: CompositePartId(1),
         };
         p.swap_xy();

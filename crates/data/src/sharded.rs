@@ -16,7 +16,7 @@
 //!
 //! Routing conventions (fixed so every layer agrees shard-for-shard):
 //!
-//! * `u32` raw ids route by `id % shards`;
+//! * `u32` raw ids route by `id % shards`, computed by [`ShardMap`];
 //! * `(date, id)` build-date keys route by **id**, not date, so a part's
 //!   date entry lives in the same shard as the part itself and a date
 //!   update (OP15) touches exactly one shard;
@@ -28,31 +28,97 @@ use crate::btree::BTree;
 /// declared as 64-bit masks in [`crate::spec::ShardSet`].
 pub const MAX_SHARDS: usize = 64;
 
+/// Exact `raw % n` and `raw / n` for one fixed shard count `n`, without
+/// a division per call.
+///
+/// Every id-routed layer (index shards, medium's atomic-part lock shards
+/// and their dense per-shard stores, STM index buckets, fine's date-index
+/// locks) maps a raw id to a shard, and some also to a slot within it, on
+/// every access. For `n > 1` both come from Lemire, Kaser and Kurz's
+/// precomputed reciprocal `m = ⌈2⁶⁴ / n⌉` ("Faster Remainder by Direct
+/// Computation", 2019): `raw / n` is the high word of `m · raw`, and
+/// `raw % n` the high word of `(m · raw mod 2⁶⁴) · n`, both exact for
+/// every 32-bit `raw` and `n`. For `n = 1` the reciprocal overflows, and
+/// the map answers `0` and `raw` directly.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct ShardMap {
+    n: u32,
+    /// `⌈2⁶⁴ / n⌉`; unused when `n == 1`.
+    m: u64,
+}
+
+impl ShardMap {
+    /// The map for `n` shards.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `n` is 0 or does not fit a `u32`.
+    pub fn new(n: usize) -> Self {
+        let n = u32::try_from(n)
+            .ok()
+            .filter(|&n| n > 0)
+            .unwrap_or_else(|| panic!("shard count must be in 1..=u32::MAX, got {n}"));
+        let m = if n == 1 {
+            0
+        } else {
+            u64::MAX / u64::from(n) + 1
+        };
+        ShardMap { n, m }
+    }
+
+    /// The shard count `n`.
+    #[inline]
+    pub fn count(&self) -> usize {
+        self.n as usize
+    }
+
+    /// `raw % n`: the shard `raw` routes to.
+    #[inline]
+    pub fn shard(&self, raw: u32) -> usize {
+        if self.n == 1 {
+            return 0;
+        }
+        let low = self.m.wrapping_mul(u64::from(raw));
+        ((u128::from(low) * u128::from(self.n)) >> 64) as usize
+    }
+
+    /// `raw / n`: `raw`'s slot within its shard.
+    #[inline]
+    pub fn local(&self, raw: u32) -> u32 {
+        if self.n == 1 {
+            return raw;
+        }
+        ((u128::from(self.m) * u128::from(raw)) >> 64) as u32
+    }
+}
+
 /// Routes a key to its shard. Implementations must be pure functions of
 /// the key and the shard count — every layer (workspace, lock backends,
 /// STM backends) relies on agreeing where a key lives.
 pub trait ShardKey {
-    /// The shard index in `0..shards` this key routes to.
-    fn shard(&self, shards: usize) -> usize;
+    /// The shard index in `0..map.count()` this key routes to.
+    fn shard(&self, map: &ShardMap) -> usize;
 }
 
 impl ShardKey for u32 {
-    fn shard(&self, shards: usize) -> usize {
-        *self as usize % shards
+    #[inline]
+    fn shard(&self, map: &ShardMap) -> usize {
+        map.shard(*self)
     }
 }
 
 /// Build-date keys route by the *id* component so a part and its date
 /// entry always share a shard (date updates stay single-shard).
 impl ShardKey for (i32, u32) {
-    fn shard(&self, shards: usize) -> usize {
-        self.1 as usize % shards
+    #[inline]
+    fn shard(&self, map: &ShardMap) -> usize {
+        map.shard(self.1)
     }
 }
 
 impl ShardKey for String {
-    fn shard(&self, shards: usize) -> usize {
-        shard_of_str(self, shards)
+    fn shard(&self, map: &ShardMap) -> usize {
+        shard_of_str(self, map.count())
     }
 }
 
@@ -100,6 +166,7 @@ pub fn merge_date_entries(mut entries: Vec<(i32, u32)>) -> Vec<crate::ids::Atomi
 #[derive(Clone, Debug)]
 pub struct ShardedIndex<K, V> {
     shards: Vec<BTree<K, V>>,
+    map: ShardMap,
     len: usize,
 }
 
@@ -113,6 +180,7 @@ impl<K: Ord + Clone + ShardKey, V: Clone> ShardedIndex<K, V> {
         );
         ShardedIndex {
             shards: (0..shards).map(|_| BTree::new()).collect(),
+            map: ShardMap::new(shards),
             len: 0,
         }
     }
@@ -124,7 +192,7 @@ impl<K: Ord + Clone + ShardKey, V: Clone> ShardedIndex<K, V> {
 
     /// The shard a key routes to.
     pub fn shard_of(&self, k: &K) -> usize {
-        k.shard(self.shards.len())
+        k.shard(&self.map)
     }
 
     /// Total entries across all shards.
@@ -159,7 +227,7 @@ impl<K: Ord + Clone + ShardKey, V: Clone> ShardedIndex<K, V> {
 
     /// Removes a key, returning its value if it was present.
     pub fn remove(&mut self, k: &K) -> Option<V> {
-        let shard = k.shard(self.shards.len());
+        let shard = self.shard_of(k);
         let removed = self.shards[shard].remove(k);
         if removed.is_some() {
             self.len -= 1;
@@ -225,7 +293,8 @@ impl<K: Ord + Clone + ShardKey, V: Clone> ShardedIndex<K, V> {
             "shard count must be in 1..={MAX_SHARDS}"
         );
         let len = shards.iter().map(BTree::len).sum();
-        let index = ShardedIndex { shards, len };
+        let map = ShardMap::new(shards.len());
+        let index = ShardedIndex { shards, map, len };
         #[cfg(debug_assertions)]
         for (s, shard) in index.shards.iter().enumerate() {
             shard.for_each(|k, _| {
@@ -267,12 +336,37 @@ mod tests {
 
     #[test]
     fn date_keys_route_by_id_not_date() {
-        let shards = 8;
+        let map = ShardMap::new(8);
         for id in 0..100u32 {
             for date in [1000, 1500, 1999] {
-                assert_eq!((date, id).shard(shards), id.shard(shards));
+                assert_eq!((date, id).shard(&map), id.shard(&map));
             }
         }
+    }
+
+    #[test]
+    fn shard_map_is_exact_division() {
+        use rand::rngs::SmallRng;
+        use rand::{Rng, SeedableRng};
+
+        let mut rng = SmallRng::seed_from_u64(0x5eed);
+        // Every lock-shard count, and STM's default bucket count.
+        for n in (1..=64u32).chain([256]) {
+            let map = ShardMap::new(n as usize);
+            assert_eq!(map.count(), n as usize);
+            let edges = [0, 1, n - 1, n, n + 1, u32::MAX];
+            let random = (0..10_000).map(|_| rng.gen::<u32>());
+            for raw in edges.into_iter().chain(random) {
+                assert_eq!(map.shard(raw), (raw % n) as usize, "{raw} % {n}");
+                assert_eq!(map.local(raw), raw / n, "{raw} / {n}");
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "shard count")]
+    fn shard_map_rejects_zero() {
+        let _ = ShardMap::new(0);
     }
 
     #[test]
@@ -281,7 +375,7 @@ mod tests {
             for s in ["", "Manual", "Composite Part #42"] {
                 let a = shard_of_str(s, shards);
                 assert_eq!(a, shard_of_str(s, shards));
-                assert_eq!(a, s.to_string().shard(shards));
+                assert_eq!(a, s.to_string().shard(&ShardMap::new(shards)));
                 assert!(a < shards);
             }
         }
@@ -322,7 +416,7 @@ mod tests {
                 }
             }
             for (k, v) in &model {
-                let home = k.shard(shards);
+                let home = k.shard(&ShardMap::new(shards));
                 for (s, shard) in idx.shards().iter().enumerate() {
                     if s == home {
                         prop_assert_eq!(shard.get(k), Some(v));

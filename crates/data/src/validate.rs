@@ -178,6 +178,8 @@ pub fn validate(ws: &Workspace) -> Result<Census, String> {
         "composite id index size mismatch"
     );
     let mut atomic_total = 0;
+    // Each part belongs to one graph only, once; indexed by raw id.
+    let mut part_seen = vec![false; params.max_atomics() as usize + 1];
     for (raw, comp) in ws.composites.store.iter() {
         ensure!(
             ws.composites.by_id.contains(&raw),
@@ -206,28 +208,33 @@ pub fn validate(ws: &Workspace) -> Result<Census, String> {
             doc.id
         );
 
+        let graph = &comp.graph;
+        let n = graph.parts.len();
+        ensure!(n > 0, "composite {raw} has no atomic parts");
+        let edges = graph.targets.len();
         ensure!(
-            !comp.parts.is_empty(),
-            "composite {raw} has no atomic parts"
+            graph.offsets.len() == n + 1
+                && graph.offsets[0] == 0
+                && graph.offsets[n] as usize == edges
+                && graph.offsets.windows(2).all(|w| w[0] <= w[1])
+                && graph.kinds.len() == edges
+                && graph.lengths.len() == edges,
+            "composite {raw} graph offsets malformed"
         );
-        ensure!(
-            comp.parts.contains(&comp.root_part),
-            "composite {raw} root part not in parts set"
-        );
-        let part_set: HashSet<_> = comp.parts.iter().copied().collect();
-        ensure!(
-            part_set.len() == comp.parts.len(),
-            "composite {raw} parts set has duplicates"
-        );
-        atomic_total += comp.parts.len();
-        // The graph must be reachable from the root part (the builder's
-        // ring guarantees it; no operation rewires connections).
-        let mut visited = HashSet::new();
-        let mut dfs = vec![comp.root_part];
-        while let Some(pid) = dfs.pop() {
-            if !visited.insert(pid) {
-                continue;
+        if let Some(&t) = graph.targets.iter().find(|&&t| t as usize >= n) {
+            return Err(format!(
+                "composite {raw} graph target {t} out of range (parts: {n})"
+            ));
+        }
+        for &pid in &graph.parts {
+            let slot = pid.raw() as usize;
+            if slot >= part_seen.len() {
+                part_seen.resize(slot + 1, false);
             }
+            ensure!(
+                !std::mem::replace(&mut part_seen[slot], true),
+                "composite {raw} parts set has duplicates (part {pid})"
+            );
             let part = ws
                 .atomics
                 .store
@@ -242,19 +249,24 @@ pub fn validate(ws: &Workspace) -> Result<Census, String> {
                 ws.atomics.by_date.contains(&(part.build_date, pid.raw())),
                 "atomic part {pid} missing from date index"
             );
-            for conn in &part.to {
-                ensure!(
-                    part_set.contains(&conn.to),
-                    "connection from {pid} leaves its composite"
-                );
-                dfs.push(conn.to);
+        }
+        atomic_total += n;
+        // The graph must be reachable from the root part, local index 0
+        // (the builder's ring guarantees it; no operation rewires
+        // connections).
+        let mut visited = vec![false; n];
+        let mut reached = 0;
+        let mut dfs = vec![0u32];
+        while let Some(local) = dfs.pop() {
+            if std::mem::replace(&mut visited[local as usize], true) {
+                continue;
             }
+            reached += 1;
+            dfs.extend_from_slice(graph.targets(local as usize));
         }
         ensure!(
-            visited.len() == comp.parts.len(),
-            "composite {raw}: only {} of {} parts reachable from root part",
-            visited.len(),
-            comp.parts.len()
+            reached == n,
+            "composite {raw}: only {reached} of {n} parts reachable from root part"
         );
     }
     ensure!(

@@ -887,7 +887,6 @@ mod tests {
                 build_date: 1990 + (i as i32 % 3),
                 x: 0,
                 y: 0,
-                to: vec![],
                 owner: CompositePartId(1),
             });
         }
@@ -947,7 +946,6 @@ mod tests {
             build_date: 1000,
             x: 0,
             y: 0,
-            to: vec![],
             owner: CompositePartId(1),
         })
         .unwrap()

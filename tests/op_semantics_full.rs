@@ -112,7 +112,7 @@ fn t2a_swaps_root_parts_once_per_bag_occurrence() {
         .composites
         .store
         .iter()
-        .map(|(raw, c)| (c.root_part.raw(), mult.get(&raw).copied().unwrap_or(0)))
+        .map(|(raw, c)| (c.graph.root().raw(), mult.get(&raw).copied().unwrap_or(0)))
         .collect();
     let visited = done(run_one(&mut ws, OpKind::T2a, 1));
     // T2a walks the full structure (same count as T1) but only updates
@@ -161,7 +161,7 @@ fn t3a_toggles_only_root_dates_and_keeps_the_index() {
         .composites
         .store
         .iter()
-        .map(|(raw, c)| (c.root_part.raw(), mult.get(&raw).copied().unwrap_or(0)))
+        .map(|(raw, c)| (c.graph.root().raw(), mult.get(&raw).copied().unwrap_or(0)))
         .collect();
     done(run_one(&mut ws, OpKind::T3a, 1));
     for ((raw, old), (_, new)) in before.0.iter().zip(ws.atomics.store.iter()) {

@@ -6,6 +6,8 @@
 //! takes a valid workspace, breaks exactly one invariant by hand, and
 //! asserts the validator rejects it with the right diagnostic.
 
+use std::sync::Arc;
+
 use stmbench7::data::objects::AssemblyChildren;
 use stmbench7::data::{validate, StructureParams, Workspace};
 
@@ -173,7 +175,7 @@ fn detects_atomic_owner_corruption() {
     };
     ws.atomics
         .store
-        .get_mut(first.root_part.raw())
+        .get_mut(first.graph.root().raw())
         .unwrap()
         .owner = second.id;
     assert_rejects(&ws, "owner mismatch");
@@ -182,19 +184,31 @@ fn detects_atomic_owner_corruption() {
 #[test]
 fn detects_disconnected_part_graph() {
     let mut ws = fresh();
-    // Cut every outgoing connection of a root part: the rest of its
-    // graph becomes unreachable from the root.
-    let root_part = {
-        let (_, comp) = ws.composites.store.iter().next().unwrap();
-        comp.root_part
-    };
-    ws.atomics
-        .store
-        .get_mut(root_part.raw())
-        .unwrap()
-        .to
-        .clear();
+    // Cut every outgoing connection of a root part (local index 0) out
+    // of its composite's CSR graph: the rest of the graph becomes
+    // unreachable from the root.
+    let (_, comp) = ws.composites.store.iter().next().unwrap();
+    let comp_raw = comp.id.raw();
+    let graph = Arc::make_mut(&mut ws.composites.store.get_mut(comp_raw).unwrap().graph);
+    let cut = graph.offsets[1] as usize;
+    graph.targets.drain(..cut);
+    graph.kinds.drain(..cut);
+    graph.lengths.drain(..cut);
+    for offset in &mut graph.offsets[1..] {
+        *offset -= cut as u32;
+    }
     assert_rejects(&ws, "parts reachable from root");
+}
+
+#[test]
+fn detects_out_of_range_graph_target() {
+    let mut ws = fresh();
+    // Point one connection past the end of its graph's part list.
+    let (raw, comp) = ws.composites.store.iter().next().unwrap();
+    let n = comp.graph.parts.len() as u32;
+    let graph = Arc::make_mut(&mut ws.composites.store.get_mut(raw).unwrap().graph);
+    graph.targets[1] = n;
+    assert_rejects(&ws, "out of range");
 }
 
 #[test]
@@ -210,13 +224,9 @@ fn detects_duplicate_parts_entry() {
     let mut ws = fresh();
     let (comp_raw, part) = {
         let (raw, comp) = ws.composites.store.iter().next().unwrap();
-        (raw, comp.parts[0])
+        (raw, comp.graph.parts[0])
     };
-    ws.composites
-        .store
-        .get_mut(comp_raw)
-        .unwrap()
-        .parts
-        .push(part);
+    // List the root part a second time, in place of part 1.
+    Arc::make_mut(&mut ws.composites.store.get_mut(comp_raw).unwrap().graph).parts[1] = part;
     assert_rejects(&ws, "duplicates");
 }
