@@ -37,7 +37,8 @@
 //!    that takes momentary per-object read locks (never more than one at
 //!    a time — deadlock-free by construction), buffers writes in a local
 //!    overlay so read-your-own-write control flow is preserved, and
-//!    records the set of locks the operation needs.
+//!    records the set of locks the operation needs and the result of each
+//!    build-date range scan.
 //! 2. The recorded plan is **sorted** into one canonical lock order and
 //!    all locks are **acquired** in that order (ordered acquisition —
 //!    deadlock-free).
@@ -45,14 +46,24 @@
 //!    choices, see [`TxOperation::begin_attempt`]) against an `ExecTx`
 //!    holding the acquired guards; this run's effects are real.
 //!
-//! Because the topology is frozen under the gate, discovery is exact for
-//! every operation whose access set is topology-determined — all of them
-//! except the build-date range scans (OP2, OP3, OP10), whose result can
-//! change if another thread commits a date update between discovery and
-//! acquisition. Execution detects any access outside the planned lock set
-//! and aborts; the backend retries discovery a bounded number of times and
-//! finally falls back to exclusive (gate-write) execution, guaranteeing
-//! progress.
+//! Discovery, planned execution and the exclusive execution of SM
+//! operations run one `Sb7Tx` body, `FineTx`; each phase supplies only how
+//! it reaches a lock unit (`FineUnits`).
+//!
+//! # Stale plans
+//!
+//! The topology is frozen under the gate, so a plan goes stale only when a
+//! value discovery read changes before acquisition. A build-date range
+//! scan (OP2, OP3, OP10) can find other parts after a concurrent date
+//! update: execution compares each scan, made under the held date-shard
+//! guards, with discovery's and aborts on a mismatch, before any write,
+//! since these operations scan first. ST5 and Q6 stop at a composite whose
+//! build date OP12–OP14 and the short traversals toggle concurrently; both
+//! are read-only. So an aborted planned attempt has written nothing and a
+//! retry never applies a write twice; an unplanned access after a write is
+//! an invariant violation, not a retry. The backend re-discovers a bounded
+//! number of times, then falls back to exclusive (gate-write) execution,
+//! guaranteeing progress.
 //!
 //! This cost — an extra uncommitted execution of every operation, plus
 //! sorting — is exactly the "additional overhead which, together with the
@@ -60,6 +71,7 @@
 //! paper predicts; the `ultimate_baseline` row of the lab's
 //! `registry::CATALOG` (`stmbench7 lab ultimate_baseline`) quantifies it.
 
+use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -67,8 +79,9 @@ use parking_lot::{RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 use stmbench7_data::access::PoolKind;
 use stmbench7_data::btree::BTree;
-use stmbench7_data::sharded::{ShardMap, ShardedIndex};
+use stmbench7_data::sharded::{merge_date_entries, ShardMap, ShardedIndex};
 use stmbench7_data::spec::AccessSpec;
+use stmbench7_data::text;
 use stmbench7_data::workspace::{
     AtomicGroup, BaseGroup, ComplexLevelGroup, CompositeGroup, DocGroup, SmState, Store, Workspace,
 };
@@ -81,16 +94,22 @@ use stmbench7_data::{
 use crate::{Backend, TxOperation};
 
 /// Retries of the discover/acquire/execute cycle before falling back to
-/// exclusive execution. Plans only go stale through build-date index
-/// races, so the bound is generous.
+/// exclusive execution. Plans only go stale through concurrent build-date
+/// changes (see the module docs), so the bound is generous.
 const MAX_PLAN_RETRIES: u32 = 8;
 
 const MISSING: TxErr = TxErr::Invariant("object not found");
 const GATED: TxErr = TxErr::Invariant("create/delete outside the SM gate");
-/// An access fell outside the planned lock set (a stale plan, possible
-/// only through build-date index races); reported as `Abort` so the
-/// backend re-discovers.
+/// An access fell outside the planned lock set, or a scan disagreed with
+/// discovery's (a stale plan); reported as `Abort` so the backend
+/// re-discovers.
 const UNPLANNED: TxErr = TxErr::Abort;
+/// The same after the attempt has written: retrying would apply its
+/// writes twice.
+const STALE_AFTER_WRITE: TxErr = TxErr::Invariant("plan went stale after a write");
+
+/// One shard of index 2: (build date, part id) entries.
+type DateIndex = BTree<(i32, u32), ()>;
 
 // ---------------------------------------------------------------------------
 // Lock identities and plans
@@ -117,15 +136,18 @@ enum LockKey {
     Manual,
 }
 
-/// The lock set discovery produced: key → exclusive?
-#[derive(Clone, Debug, Default)]
+/// What discovery produced: the lock set (key → exclusive?) and, in
+/// order, the result of every build-date range scan.
+#[derive(Debug, Default)]
 struct Plan {
     locks: BTreeMap<LockKey, bool>,
+    scans: Vec<Vec<AtomicPartId>>,
 }
 
 impl Plan {
     /// Records a lock requirement, upgrading read → write and never
     /// downgrading.
+    #[inline]
     fn need(&mut self, key: LockKey, write: bool) {
         let entry = self.locks.entry(key).or_insert(false);
         *entry |= write;
@@ -144,20 +166,20 @@ enum Held<'a, T> {
 }
 
 impl<T> Held<'_, T> {
+    #[inline]
     fn get(&self) -> &T {
         match self {
             Held::Read(g) => g,
             Held::Write(g) => g,
         }
     }
+}
 
-    /// Exclusive access; a read guard means the plan under-approximated
-    /// (stale plan), so the caller retries.
-    fn get_mut(&mut self) -> TxR<&mut T> {
-        match self {
-            Held::Read(_) => Err(UNPLANNED),
-            Held::Write(g) => Ok(g),
-        }
+fn held<T>(lock: &RwLock<T>, write: bool) -> Held<'_, T> {
+    if write {
+        Held::Write(lock.write())
+    } else {
+        Held::Read(lock.read())
     }
 }
 
@@ -187,13 +209,14 @@ impl CompositeCell {
 
 /// Everything behind the SM gate.
 ///
-/// The plain `BTree` members (`complex index` inside [`SmState`],
-/// `base_ids`, `composite_ids`, `atomic_owner`, `doc_owner`, `by_title`)
-/// and the id pools are mutated only while the gate is held in write
-/// mode; regular operations hold the gate in read mode and read them
-/// lock-free. Only `by_date` — which OP15 and the T3 family mutate — and
-/// the per-object cells need interior locks.
+/// The module, the plain `BTree` members (`complex index` inside
+/// [`SmState`], `base_ids`, `composite_ids`, `atomic_owner`, `doc_owner`,
+/// `by_title`) and the id pools are mutated only while the gate is held
+/// in write mode; regular operations hold the gate in read mode and read
+/// them lock-free. Only `by_date` — which OP15 and the T3 family mutate —
+/// and the per-object cells need interior locks.
 struct FineWorld {
+    module: Module,
     sm: SmState,
     manual: RwLock<Manual>,
     bases: Store<RwLock<BaseAssembly>>,
@@ -210,16 +233,45 @@ struct FineWorld {
     /// Index 2 — the only index regular operations mutate — split into
     /// per-shard locks, routed by part id (shard `s` holds the entries of
     /// parts with `id % shards == s`).
-    by_date: Vec<RwLock<BTree<(i32, u32), ()>>>,
+    by_date: Vec<RwLock<DateIndex>>,
     /// Routes a part id to its `by_date` shard.
     date_map: ShardMap,
 }
 
 impl FineWorld {
-    /// The date-index shard a part id routes to.
-    fn date_shard_of(&self, raw: u32) -> usize {
-        self.date_map.shard(raw)
+    #[inline]
+    fn owner_of_atomic(&self, raw: u32) -> TxR<u32> {
+        self.atomic_owner.get(&raw).copied().ok_or(MISSING)
     }
+
+    #[inline]
+    fn owner_of_doc(&self, raw: u32) -> TxR<u32> {
+        self.doc_owner.get(&raw).copied().ok_or(MISSING)
+    }
+
+    /// Cell `owner` under a momentary read lock.
+    #[inline]
+    fn read_cell(&self, owner: u32) -> TxR<RwLockReadGuard<'_, CompositeCell>> {
+        Ok(self.cells.get(owner).ok_or(MISSING)?.read())
+    }
+
+    #[inline]
+    fn cell_mut(&mut self, owner: u32) -> TxR<&mut CompositeCell> {
+        Ok(self.cells.get_mut(owner).ok_or(MISSING)?.get_mut())
+    }
+
+    /// Removes a cell once its last member is gone.
+    fn gc_cell(&mut self, owner: u32) {
+        if self.cell_mut(owner).is_ok_and(|c| c.is_tombstone()) {
+            self.cells.remove(owner);
+        }
+    }
+}
+
+/// Appends `index`'s entries dated within `[lo, hi]` to `out`.
+#[inline]
+fn collect_range(index: &DateIndex, lo: i32, hi: i32, out: &mut Vec<(i32, u32)>) {
+    index.for_range(&(lo, 0), &(hi, u32::MAX), |k, _| out.push(*k));
 }
 
 /// Counters describing how the fine-grained strategy behaved.
@@ -268,7 +320,6 @@ struct FineCounters {
 /// ```
 pub struct FineBackend {
     params: StructureParams,
-    module: Module,
     gate: RwLock<FineWorld>,
     counters: FineCounters,
 }
@@ -320,8 +371,8 @@ impl FineBackend {
         }
 
         FineBackend {
-            module: ws.module,
             gate: RwLock::new(FineWorld {
+                module: ws.module,
                 sm: ws.sm,
                 manual: RwLock::new(ws.manual),
                 bases,
@@ -356,6 +407,19 @@ impl FineBackend {
             fallbacks: self.counters.fallbacks.load(Ordering::Relaxed),
         }
     }
+
+    /// Runs `op` once with the gate held in write mode, counting it on
+    /// `counter`.
+    fn run_exclusive<R, O: TxOperation<R>>(&self, counter: &AtomicU64, op: &mut O) -> R {
+        let mut world = self.gate.write();
+        counter.fetch_add(1, Ordering::Relaxed);
+        op.begin_attempt();
+        match op.run(&mut FineTx(FullTx { world: &mut world })) {
+            Ok(v) => v,
+            Err(TxErr::Abort) => unreachable!("exclusive execution cannot abort"),
+            Err(TxErr::Invariant(msg)) => panic!("operation violated its access spec: {msg}"),
+        }
+    }
 }
 
 impl Backend for FineBackend {
@@ -364,26 +428,18 @@ impl Backend for FineBackend {
             // Structure modifications run in isolation, exactly as under
             // the medium-grained strategy: the gate serializes them
             // against everything.
-            let mut world = self.gate.write();
-            self.counters.exclusive_ops.fetch_add(1, Ordering::Relaxed);
-            op.begin_attempt();
-            let mut tx = FullTx {
-                module: &self.module,
-                world: &mut world,
-            };
-            return unwrap_lock_result(op.run(&mut tx));
+            return self.run_exclusive(&self.counters.exclusive_ops, op);
         }
 
         let world = self.gate.read();
         for _attempt in 0..MAX_PLAN_RETRIES {
             // Phase 1: discovery.
             op.begin_attempt();
-            let mut disc = DiscoverTx {
-                module: &self.module,
+            let mut disc = FineTx(DiscoverTx {
                 world: &world,
                 plan: Plan::default(),
                 overlay: Overlay::default(),
-            };
+            });
             match op.run(&mut disc) {
                 Ok(_) => {}
                 Err(TxErr::Abort) => unreachable!("discovery cannot abort"),
@@ -391,20 +447,20 @@ impl Backend for FineBackend {
                     panic!("operation violated an invariant during lock discovery: {msg}")
                 }
             }
-            let plan = disc.plan;
+            let plan = disc.0.plan;
 
             // Phases 2 + 3: ordered acquisition, then the real run.
-            let mut exec = ExecTx::acquire(&self.module, &world, &plan);
             self.counters
                 .locks_acquired
                 .fetch_add(plan.len() as u64, Ordering::Relaxed);
+            let mut exec = ExecTx::acquire(&world, plan);
             op.begin_attempt();
             match op.run(&mut exec) {
                 Ok(r) => {
                     self.counters.planned_ops.fetch_add(1, Ordering::Relaxed);
                     return r;
                 }
-                // The plan went stale (a date-index race); re-discover.
+                // The plan went stale before any write; re-discover.
                 Err(TxErr::Abort) => {
                     self.counters.plan_retries.fetch_add(1, Ordering::Relaxed);
                 }
@@ -417,14 +473,7 @@ impl Backend for FineBackend {
         // Fallback: run exclusively. Guarantees progress for plans that
         // keep racing the date index.
         drop(world);
-        let mut world = self.gate.write();
-        self.counters.fallbacks.fetch_add(1, Ordering::Relaxed);
-        op.begin_attempt();
-        let mut tx = FullTx {
-            module: &self.module,
-            world: &mut world,
-        };
-        unwrap_lock_result(op.run(&mut tx))
+        self.run_exclusive(&self.counters.fallbacks, op)
     }
 
     fn name(&self) -> &'static str {
@@ -435,7 +484,7 @@ impl Backend for FineBackend {
         let mut world = self.gate.write();
         let world = &mut *world;
         let mut ws = Workspace::new(self.params.clone());
-        ws.module = self.module.clone();
+        ws.module = world.module.clone();
         ws.manual = world.manual.get_mut().clone();
         ws.sm = world.sm.clone();
 
@@ -500,103 +549,80 @@ impl Backend for FineBackend {
     }
 }
 
-fn unwrap_lock_result<R>(r: TxR<R>) -> R {
-    match r {
-        Ok(v) => v,
-        Err(TxErr::Abort) => unreachable!("exclusive execution cannot abort"),
-        Err(TxErr::Invariant(msg)) => panic!("operation violated its access spec: {msg}"),
-    }
-}
-
 // ---------------------------------------------------------------------------
-// Discovery
+// The one transaction body
 // ---------------------------------------------------------------------------
 
-/// Write buffer keeping discovery's control flow identical to a real
-/// execution (read-your-own-write), without publishing anything.
-#[derive(Default)]
-struct Overlay {
-    bases: HashMap<u32, BaseAssembly>,
-    complexes: HashMap<u32, ComplexAssembly>,
-    comps: HashMap<u32, CompositePart>,
-    docs: HashMap<u32, Document>,
-    parts: HashMap<u32, AtomicPart>,
-    manual: Option<Manual>,
-}
+/// How one phase of the cycle reaches the lock units: a read and a write
+/// closure per unit, the build-date index, and the world behind the gate.
+/// A document or atomic part is reached through its composite's cell,
+/// `owner`, whose lock guards it.
+trait FineUnits {
+    /// The world as the held gate freezes it: the module, the topology,
+    /// the owner tables, the gate-only indexes and the id pools.
+    fn world(&self) -> &FineWorld;
 
-/// Phase-1 transaction: runs the operation body with momentary per-object
-/// read locks (at most one held at a time), records the lock plan and
-/// buffers writes locally.
-struct DiscoverTx<'a> {
-    module: &'a Module,
-    world: &'a FineWorld,
-    plan: Plan,
-    overlay: Overlay,
-}
-
-impl DiscoverTx<'_> {
-    fn owner_of_atomic(&self, raw: u32) -> TxR<u32> {
-        self.world.atomic_owner.get(&raw).copied().ok_or(MISSING)
+    /// The world for creating and deleting objects, which only exclusive
+    /// execution (the gate in write mode) may do.
+    #[inline]
+    fn world_mut(&mut self) -> TxR<&mut FineWorld> {
+        Err(GATED)
     }
 
-    fn owner_of_doc(&self, raw: u32) -> TxR<u32> {
-        self.world.doc_owner.get(&raw).copied().ok_or(MISSING)
-    }
+    fn manual<R>(&mut self, f: impl FnOnce(&Manual) -> R) -> TxR<R>;
+    fn manual_mut<R>(&mut self, f: impl FnOnce(&mut Manual) -> R) -> TxR<R>;
+    fn base<R>(&mut self, raw: u32, f: impl FnOnce(&BaseAssembly) -> R) -> TxR<R>;
+    fn base_mut<R>(&mut self, raw: u32, f: impl FnOnce(&mut BaseAssembly) -> R) -> TxR<R>;
+    fn complex<R>(&mut self, raw: u32, f: impl FnOnce(&ComplexAssembly) -> R) -> TxR<R>;
+    fn complex_mut<R>(&mut self, raw: u32, f: impl FnOnce(&mut ComplexAssembly) -> R) -> TxR<R>;
+    fn composite<R>(&mut self, raw: u32, f: impl FnOnce(&CompositePart) -> R) -> TxR<R>;
+    fn composite_mut<R>(&mut self, raw: u32, f: impl FnOnce(&mut CompositePart) -> R) -> TxR<R>;
+    fn document<R>(&mut self, owner: u32, f: impl FnOnce(&Document) -> R) -> TxR<R>;
+    fn document_mut<R>(&mut self, owner: u32, f: impl FnOnce(&mut Document) -> R) -> TxR<R>;
+    fn atomic<R>(&mut self, owner: u32, raw: u32, f: impl FnOnce(&AtomicPart) -> R) -> TxR<R>;
+    fn atomic_mut<R>(
+        &mut self,
+        owner: u32,
+        raw: u32,
+        f: impl FnOnce(&mut AtomicPart) -> R,
+    ) -> TxR<R>;
 
-    /// Clones an object out of its cell under a momentary read lock.
-    fn snapshot<T>(&self, owner: u32, pick: impl FnOnce(&CompositeCell) -> Option<&T>) -> TxR<T>
-    where
-        T: Clone,
-    {
-        let cell = self.world.cells.get(owner).ok_or(MISSING)?.read();
-        pick(&cell).cloned().ok_or(MISSING)
-    }
+    /// Moves part `raw`'s build-date index entry from `old` to `new`.
+    fn move_date(&mut self, raw: u32, old: i32, new: i32) -> TxR<()>;
+
+    /// Index 2 range scan over every shard, in global (date, id) order.
+    fn scan_dates(&mut self, lo: i32, hi: i32) -> TxR<Vec<AtomicPartId>>;
 }
 
-impl Sb7Tx for DiscoverTx<'_> {
+/// The one `Sb7Tx` body of discovery, planned and exclusive execution. A
+/// newtype, because the orphan rule refuses a blanket impl of the data
+/// crate's trait over a trait of this crate.
+struct FineTx<U>(U);
+
+impl<U: FineUnits> Sb7Tx for FineTx<U> {
+    #[inline]
     fn module<R>(&mut self, f: impl FnOnce(&Module) -> R) -> TxR<R> {
-        Ok(f(self.module))
+        Ok(f(&self.0.world().module))
     }
 
+    #[inline]
     fn manual_text_len(&mut self) -> TxR<usize> {
-        self.plan.need(LockKey::Manual, false);
-        if let Some(m) = &self.overlay.manual {
-            return Ok(m.text.len());
-        }
-        Ok(self.world.manual.read().text.len())
+        self.0.manual(|m| m.text.len())
     }
 
+    #[inline]
     fn manual_count_char(&mut self, c: char) -> TxR<usize> {
-        self.plan.need(LockKey::Manual, false);
-        if let Some(m) = &self.overlay.manual {
-            return Ok(stmbench7_data::text::count_char(&m.text, c));
-        }
-        Ok(stmbench7_data::text::count_char(
-            &self.world.manual.read().text,
-            c,
-        ))
+        self.0.manual(|m| text::count_char(&m.text, c))
     }
 
+    #[inline]
     fn manual_first_last_equal(&mut self) -> TxR<bool> {
-        self.plan.need(LockKey::Manual, false);
-        if let Some(m) = &self.overlay.manual {
-            return Ok(stmbench7_data::text::first_last_equal(&m.text));
-        }
-        Ok(stmbench7_data::text::first_last_equal(
-            &self.world.manual.read().text,
-        ))
+        self.0.manual(|m| text::first_last_equal(&m.text))
     }
 
+    #[inline]
     fn manual_swap_case(&mut self) -> TxR<usize> {
-        self.plan.need(LockKey::Manual, true);
-        let m = match &mut self.overlay.manual {
-            Some(m) => m,
-            slot @ None => {
-                *slot = Some(self.world.manual.read().clone());
-                slot.as_mut().expect("just filled")
-            }
-        };
-        Ok(stmbench7_data::text::swap_manual_case(&mut m.text))
+        self.0.manual_mut(|m| text::swap_manual_case(&mut m.text))
     }
 
     fn set_design_root(&mut self, _root: ComplexAssemblyId) -> TxR<()> {
@@ -605,875 +631,163 @@ impl Sb7Tx for DiscoverTx<'_> {
         ))
     }
 
+    #[inline]
     fn atomic<R>(&mut self, id: AtomicPartId, f: impl FnOnce(&AtomicPart) -> R) -> TxR<R> {
-        let owner = self.owner_of_atomic(id.raw())?;
-        self.plan.need(LockKey::Composite(owner), false);
-        if let Some(p) = self.overlay.parts.get(&id.raw()) {
-            return Ok(f(p));
-        }
-        let cell = self.world.cells.get(owner).ok_or(MISSING)?.read();
-        cell.parts.get(&id.raw()).map(f).ok_or(MISSING)
+        let owner = self.0.world().owner_of_atomic(id.raw())?;
+        self.0.atomic(owner, id.raw(), f)
     }
 
+    #[inline]
     fn composite<R>(&mut self, id: CompositePartId, f: impl FnOnce(&CompositePart) -> R) -> TxR<R> {
-        self.plan.need(LockKey::Composite(id.raw()), false);
-        if let Some(c) = self.overlay.comps.get(&id.raw()) {
-            return Ok(f(c));
-        }
-        let cell = self.world.cells.get(id.raw()).ok_or(MISSING)?.read();
-        cell.comp.as_ref().map(f).ok_or(MISSING)
+        self.0.composite(id.raw(), f)
     }
 
+    #[inline]
     fn base<R>(&mut self, id: BaseAssemblyId, f: impl FnOnce(&BaseAssembly) -> R) -> TxR<R> {
-        self.plan.need(LockKey::Base(id.raw()), false);
-        if let Some(b) = self.overlay.bases.get(&id.raw()) {
-            return Ok(f(b));
-        }
-        let b = self.world.bases.get(id.raw()).ok_or(MISSING)?.read();
-        Ok(f(&b))
+        self.0.base(id.raw(), f)
     }
 
+    #[inline]
     fn complex<R>(
         &mut self,
         id: ComplexAssemblyId,
         f: impl FnOnce(&ComplexAssembly) -> R,
     ) -> TxR<R> {
-        self.plan.need(LockKey::Complex(id.raw()), false);
-        if let Some(c) = self.overlay.complexes.get(&id.raw()) {
-            return Ok(f(c));
-        }
-        let c = self.world.complexes.get(id.raw()).ok_or(MISSING)?.read();
-        Ok(f(&c))
+        self.0.complex(id.raw(), f)
     }
 
+    #[inline]
     fn document<R>(&mut self, id: DocumentId, f: impl FnOnce(&Document) -> R) -> TxR<R> {
-        let owner = self.owner_of_doc(id.raw())?;
-        self.plan.need(LockKey::Composite(owner), false);
-        if let Some(d) = self.overlay.docs.get(&id.raw()) {
-            return Ok(f(d));
-        }
-        let cell = self.world.cells.get(owner).ok_or(MISSING)?.read();
-        cell.doc.as_ref().map(f).ok_or(MISSING)
+        let owner = self.0.world().owner_of_doc(id.raw())?;
+        self.0.document(owner, f)
     }
 
+    #[inline]
     fn atomic_mut<R>(&mut self, id: AtomicPartId, f: impl FnOnce(&mut AtomicPart) -> R) -> TxR<R> {
-        let owner = self.owner_of_atomic(id.raw())?;
-        self.plan.need(LockKey::Composite(owner), true);
-        if !self.overlay.parts.contains_key(&id.raw()) {
-            let p = self.snapshot(owner, |cell| cell.parts.get(&id.raw()))?;
-            self.overlay.parts.insert(id.raw(), p);
-        }
-        Ok(f(self
-            .overlay
-            .parts
-            .get_mut(&id.raw())
-            .expect("just inserted")))
+        let owner = self.0.world().owner_of_atomic(id.raw())?;
+        self.0.atomic_mut(owner, id.raw(), f)
     }
 
+    #[inline]
     fn composite_mut<R>(
         &mut self,
         id: CompositePartId,
         f: impl FnOnce(&mut CompositePart) -> R,
     ) -> TxR<R> {
-        self.plan.need(LockKey::Composite(id.raw()), true);
-        if !self.overlay.comps.contains_key(&id.raw()) {
-            let c = self.snapshot(id.raw(), |cell| cell.comp.as_ref())?;
-            self.overlay.comps.insert(id.raw(), c);
-        }
-        Ok(f(self
-            .overlay
-            .comps
-            .get_mut(&id.raw())
-            .expect("just inserted")))
+        self.0.composite_mut(id.raw(), f)
     }
 
+    #[inline]
     fn base_mut<R>(
         &mut self,
         id: BaseAssemblyId,
         f: impl FnOnce(&mut BaseAssembly) -> R,
     ) -> TxR<R> {
-        self.plan.need(LockKey::Base(id.raw()), true);
-        if !self.overlay.bases.contains_key(&id.raw()) {
-            let b = self
-                .world
-                .bases
-                .get(id.raw())
-                .ok_or(MISSING)?
-                .read()
-                .clone();
-            self.overlay.bases.insert(id.raw(), b);
-        }
-        Ok(f(self
-            .overlay
-            .bases
-            .get_mut(&id.raw())
-            .expect("just inserted")))
+        self.0.base_mut(id.raw(), f)
     }
 
+    #[inline]
     fn complex_mut<R>(
         &mut self,
         id: ComplexAssemblyId,
         f: impl FnOnce(&mut ComplexAssembly) -> R,
     ) -> TxR<R> {
-        self.plan.need(LockKey::Complex(id.raw()), true);
-        if !self.overlay.complexes.contains_key(&id.raw()) {
-            let c = self
-                .world
-                .complexes
-                .get(id.raw())
-                .ok_or(MISSING)?
-                .read()
-                .clone();
-            self.overlay.complexes.insert(id.raw(), c);
-        }
-        Ok(f(self
-            .overlay
-            .complexes
-            .get_mut(&id.raw())
-            .expect("just inserted")))
+        self.0.complex_mut(id.raw(), f)
     }
 
+    #[inline]
     fn document_mut<R>(&mut self, id: DocumentId, f: impl FnOnce(&mut Document) -> R) -> TxR<R> {
-        let owner = self.owner_of_doc(id.raw())?;
-        self.plan.need(LockKey::Composite(owner), true);
-        if !self.overlay.docs.contains_key(&id.raw()) {
-            let d = self.snapshot(owner, |cell| cell.doc.as_ref())?;
-            self.overlay.docs.insert(id.raw(), d);
-        }
-        Ok(f(self
-            .overlay
-            .docs
-            .get_mut(&id.raw())
-            .expect("just inserted")))
+        let owner = self.0.world().owner_of_doc(id.raw())?;
+        self.0.document_mut(owner, f)
     }
 
     fn set_atomic_build_date(&mut self, id: AtomicPartId, date: i32) -> TxR<()> {
-        let shard = self.world.date_shard_of(id.raw()) as u32;
-        self.plan.need(LockKey::DateShard(shard), true);
-        self.atomic_mut(id, |p| p.build_date = date)
-    }
-
-    fn lookup_atomic(&mut self, raw: u32) -> TxR<Option<AtomicPartId>> {
-        Ok(self.world.atomic_owner.get(&raw).map(|_| AtomicPartId(raw)))
-    }
-
-    fn lookup_composite(&mut self, raw: u32) -> TxR<Option<CompositePartId>> {
-        Ok(self
-            .world
-            .composite_ids
-            .get(&raw)
-            .map(|_| CompositePartId(raw)))
-    }
-
-    fn lookup_base(&mut self, raw: u32) -> TxR<Option<BaseAssemblyId>> {
-        Ok(self.world.base_ids.get(&raw).map(|_| BaseAssemblyId(raw)))
-    }
-
-    fn lookup_complex(&mut self, raw: u32) -> TxR<Option<ComplexAssemblyId>> {
-        Ok(self
-            .world
-            .sm
-            .complex_index
-            .get(&raw)
-            .map(|_| ComplexAssemblyId(raw)))
-    }
-
-    fn lookup_document(&mut self, title: &str) -> TxR<Option<DocumentId>> {
-        Ok(self
-            .world
-            .by_title
-            .get(&title.to_string())
-            .map(|raw| DocumentId(*raw)))
-    }
-
-    fn atomics_in_date_range(&mut self, lo: i32, hi: i32) -> TxR<Vec<AtomicPartId>> {
-        // A range spans every date shard; plan them all (read mode), read
-        // each momentarily, and restore the global (date, id) order.
-        let mut entries: Vec<(i32, u32)> = Vec::new();
-        for (s, shard) in self.world.by_date.iter().enumerate() {
-            self.plan.need(LockKey::DateShard(s as u32), false);
-            shard
-                .read()
-                .for_range(&(lo, 0), &(hi, u32::MAX), |k, _| entries.push(*k));
-        }
-        Ok(stmbench7_data::sharded::merge_date_entries(entries))
-    }
-
-    fn all_atomic_ids(&mut self) -> TxR<Vec<AtomicPartId>> {
-        let mut out = Vec::new();
-        self.world
-            .atomic_owner
-            .for_each(|raw, _| out.push(AtomicPartId(*raw)));
-        Ok(out)
-    }
-
-    fn all_base_ids(&mut self) -> TxR<Vec<BaseAssemblyId>> {
-        let mut out = Vec::new();
-        self.world
-            .base_ids
-            .for_each(|raw, _| out.push(BaseAssemblyId(*raw)));
-        Ok(out)
-    }
-
-    fn pool_capacity(&mut self, kind: PoolKind) -> TxR<usize> {
-        Ok(pool_capacity_of(&self.world.sm, kind))
-    }
-
-    fn create_atomic(
-        &mut self,
-        _make: impl FnOnce(AtomicPartId) -> AtomicPart,
-    ) -> TxR<Option<AtomicPartId>> {
-        Err(GATED)
-    }
-
-    fn create_composite(
-        &mut self,
-        _make: impl FnOnce(CompositePartId) -> CompositePart,
-    ) -> TxR<Option<CompositePartId>> {
-        Err(GATED)
-    }
-
-    fn create_document(
-        &mut self,
-        _make: impl FnOnce(DocumentId) -> Document,
-    ) -> TxR<Option<DocumentId>> {
-        Err(GATED)
-    }
-
-    fn create_base(
-        &mut self,
-        _make: impl FnOnce(BaseAssemblyId) -> BaseAssembly,
-    ) -> TxR<Option<BaseAssemblyId>> {
-        Err(GATED)
-    }
-
-    fn create_complex(
-        &mut self,
-        _level: u8,
-        _make: impl FnOnce(ComplexAssemblyId) -> ComplexAssembly,
-    ) -> TxR<Option<ComplexAssemblyId>> {
-        Err(GATED)
-    }
-
-    fn delete_atomic(&mut self, _id: AtomicPartId) -> TxR<AtomicPart> {
-        Err(GATED)
-    }
-
-    fn delete_composite(&mut self, _id: CompositePartId) -> TxR<CompositePart> {
-        Err(GATED)
-    }
-
-    fn delete_document(&mut self, _id: DocumentId) -> TxR<Document> {
-        Err(GATED)
-    }
-
-    fn delete_base(&mut self, _id: BaseAssemblyId) -> TxR<BaseAssembly> {
-        Err(GATED)
-    }
-
-    fn delete_complex(&mut self, _id: ComplexAssemblyId) -> TxR<ComplexAssembly> {
-        Err(GATED)
-    }
-}
-
-fn pool_capacity_of(sm: &SmState, kind: PoolKind) -> usize {
-    let pool = match kind {
-        PoolKind::Atomic => &sm.pools.atomic,
-        PoolKind::Composite => &sm.pools.composite,
-        PoolKind::Document => &sm.pools.document,
-        PoolKind::Base => &sm.pools.base,
-        PoolKind::Complex => &sm.pools.complex,
-    };
-    pool.capacity() as usize - pool.live()
-}
-
-// ---------------------------------------------------------------------------
-// Execution
-// ---------------------------------------------------------------------------
-
-/// A possibly-held guard over one date-index shard.
-type HeldDateShard<'a> = Option<Held<'a, BTree<(i32, u32), ()>>>;
-
-/// Phase-3 transaction: every access resolves against a guard acquired in
-/// canonical order from the discovered plan. Accesses outside the plan
-/// return [`UNPLANNED`] (an `Abort`), making the backend re-discover.
-struct ExecTx<'a> {
-    module: &'a Module,
-    world: &'a FineWorld,
-    /// Held date-index shards, slot `s` for shard `s`.
-    date: Vec<HeldDateShard<'a>>,
-    bases: HashMap<u32, Held<'a, BaseAssembly>>,
-    complexes: HashMap<u32, Held<'a, ComplexAssembly>>,
-    cells: HashMap<u32, Held<'a, CompositeCell>>,
-    manual: Option<Held<'a, Manual>>,
-}
-
-impl<'a> ExecTx<'a> {
-    /// Acquires every planned lock, in `BTreeMap` (= canonical) order.
-    fn acquire(module: &'a Module, world: &'a FineWorld, plan: &Plan) -> Self {
-        let mut tx = ExecTx {
-            module,
-            world,
-            date: (0..world.by_date.len()).map(|_| None).collect(),
-            bases: HashMap::new(),
-            complexes: HashMap::new(),
-            cells: HashMap::new(),
-            manual: None,
-        };
-        for (&key, &write) in &plan.locks {
-            match key {
-                LockKey::DateShard(s) => {
-                    tx.date[s as usize] = Some(held(&world.by_date[s as usize], write));
-                }
-                LockKey::Base(raw) => {
-                    // Planned objects can only vanish through SM
-                    // operations, which the held gate excludes.
-                    let lock = world.bases.get(raw).expect("planned base exists");
-                    tx.bases.insert(raw, held(lock, write));
-                }
-                LockKey::Complex(raw) => {
-                    let lock = world.complexes.get(raw).expect("planned complex exists");
-                    tx.complexes.insert(raw, held(lock, write));
-                }
-                LockKey::Composite(raw) => {
-                    let lock = world.cells.get(raw).expect("planned cell exists");
-                    tx.cells.insert(raw, held(lock, write));
-                }
-                LockKey::Manual => {
-                    tx.manual = Some(held(&world.manual, write));
-                }
-            }
-        }
-        tx
-    }
-
-    fn cell(&self, owner: u32) -> TxR<&CompositeCell> {
-        self.cells.get(&owner).map(Held::get).ok_or(UNPLANNED)
-    }
-
-    fn cell_mut(&mut self, owner: u32) -> TxR<&mut CompositeCell> {
-        self.cells.get_mut(&owner).ok_or(UNPLANNED)?.get_mut()
-    }
-
-    fn owner_of_atomic(&self, raw: u32) -> TxR<u32> {
-        self.world.atomic_owner.get(&raw).copied().ok_or(MISSING)
-    }
-
-    fn owner_of_doc(&self, raw: u32) -> TxR<u32> {
-        self.world.doc_owner.get(&raw).copied().ok_or(MISSING)
-    }
-}
-
-fn held<T>(lock: &RwLock<T>, write: bool) -> Held<'_, T> {
-    if write {
-        Held::Write(lock.write())
-    } else {
-        Held::Read(lock.read())
-    }
-}
-
-impl Sb7Tx for ExecTx<'_> {
-    fn module<R>(&mut self, f: impl FnOnce(&Module) -> R) -> TxR<R> {
-        Ok(f(self.module))
-    }
-
-    fn manual_text_len(&mut self) -> TxR<usize> {
-        Ok(self.manual.as_ref().ok_or(UNPLANNED)?.get().text.len())
-    }
-
-    fn manual_count_char(&mut self, c: char) -> TxR<usize> {
-        Ok(stmbench7_data::text::count_char(
-            &self.manual.as_ref().ok_or(UNPLANNED)?.get().text,
-            c,
-        ))
-    }
-
-    fn manual_first_last_equal(&mut self) -> TxR<bool> {
-        Ok(stmbench7_data::text::first_last_equal(
-            &self.manual.as_ref().ok_or(UNPLANNED)?.get().text,
-        ))
-    }
-
-    fn manual_swap_case(&mut self) -> TxR<usize> {
-        Ok(stmbench7_data::text::swap_manual_case(
-            &mut self.manual.as_mut().ok_or(UNPLANNED)?.get_mut()?.text,
-        ))
-    }
-
-    fn set_design_root(&mut self, _root: ComplexAssemblyId) -> TxR<()> {
-        Err(TxErr::Invariant(
-            "the module is immutable once a backend is constructed",
-        ))
-    }
-
-    fn atomic<R>(&mut self, id: AtomicPartId, f: impl FnOnce(&AtomicPart) -> R) -> TxR<R> {
-        let owner = self.owner_of_atomic(id.raw())?;
-        self.cell(owner)?.parts.get(&id.raw()).map(f).ok_or(MISSING)
-    }
-
-    fn composite<R>(&mut self, id: CompositePartId, f: impl FnOnce(&CompositePart) -> R) -> TxR<R> {
-        self.cell(id.raw())?.comp.as_ref().map(f).ok_or(MISSING)
-    }
-
-    fn base<R>(&mut self, id: BaseAssemblyId, f: impl FnOnce(&BaseAssembly) -> R) -> TxR<R> {
-        Ok(f(self.bases.get(&id.raw()).ok_or(UNPLANNED)?.get()))
-    }
-
-    fn complex<R>(
-        &mut self,
-        id: ComplexAssemblyId,
-        f: impl FnOnce(&ComplexAssembly) -> R,
-    ) -> TxR<R> {
-        Ok(f(self.complexes.get(&id.raw()).ok_or(UNPLANNED)?.get()))
-    }
-
-    fn document<R>(&mut self, id: DocumentId, f: impl FnOnce(&Document) -> R) -> TxR<R> {
-        let owner = self.owner_of_doc(id.raw())?;
-        self.cell(owner)?.doc.as_ref().map(f).ok_or(MISSING)
-    }
-
-    fn atomic_mut<R>(&mut self, id: AtomicPartId, f: impl FnOnce(&mut AtomicPart) -> R) -> TxR<R> {
-        let owner = self.owner_of_atomic(id.raw())?;
-        self.cell_mut(owner)?
-            .parts
-            .get_mut(&id.raw())
-            .map(f)
-            .ok_or(MISSING)
-    }
-
-    fn composite_mut<R>(
-        &mut self,
-        id: CompositePartId,
-        f: impl FnOnce(&mut CompositePart) -> R,
-    ) -> TxR<R> {
-        self.cell_mut(id.raw())?.comp.as_mut().map(f).ok_or(MISSING)
-    }
-
-    fn base_mut<R>(
-        &mut self,
-        id: BaseAssemblyId,
-        f: impl FnOnce(&mut BaseAssembly) -> R,
-    ) -> TxR<R> {
-        Ok(f(self
-            .bases
-            .get_mut(&id.raw())
-            .ok_or(UNPLANNED)?
-            .get_mut()?))
-    }
-
-    fn complex_mut<R>(
-        &mut self,
-        id: ComplexAssemblyId,
-        f: impl FnOnce(&mut ComplexAssembly) -> R,
-    ) -> TxR<R> {
-        Ok(f(self
-            .complexes
-            .get_mut(&id.raw())
-            .ok_or(UNPLANNED)?
-            .get_mut()?))
-    }
-
-    fn document_mut<R>(&mut self, id: DocumentId, f: impl FnOnce(&mut Document) -> R) -> TxR<R> {
-        let owner = self.owner_of_doc(id.raw())?;
-        self.cell_mut(owner)?.doc.as_mut().map(f).ok_or(MISSING)
-    }
-
-    fn set_atomic_build_date(&mut self, id: AtomicPartId, date: i32) -> TxR<()> {
-        let owner = self.owner_of_atomic(id.raw())?;
         // The date index entry moves together with the attribute.
-        let old = {
-            let part = self
-                .cell_mut(owner)?
-                .parts
-                .get_mut(&id.raw())
-                .ok_or(MISSING)?;
-            let old = part.build_date;
-            part.build_date = date;
-            old
+        let raw = id.raw();
+        let owner = self.0.world().owner_of_atomic(raw)?;
+        let old = self
+            .0
+            .atomic_mut(owner, raw, |p| std::mem::replace(&mut p.build_date, date))?;
+        self.0.move_date(raw, old, date)
+    }
+
+    #[inline]
+    fn lookup_atomic(&mut self, raw: u32) -> TxR<Option<AtomicPartId>> {
+        let found = self.0.world().atomic_owner.contains(&raw);
+        Ok(found.then_some(AtomicPartId(raw)))
+    }
+
+    #[inline]
+    fn lookup_composite(&mut self, raw: u32) -> TxR<Option<CompositePartId>> {
+        let found = self.0.world().composite_ids.contains(&raw);
+        Ok(found.then_some(CompositePartId(raw)))
+    }
+
+    #[inline]
+    fn lookup_base(&mut self, raw: u32) -> TxR<Option<BaseAssemblyId>> {
+        let found = self.0.world().base_ids.contains(&raw);
+        Ok(found.then_some(BaseAssemblyId(raw)))
+    }
+
+    #[inline]
+    fn lookup_complex(&mut self, raw: u32) -> TxR<Option<ComplexAssemblyId>> {
+        let found = self.0.world().sm.complex_index.contains(&raw);
+        Ok(found.then_some(ComplexAssemblyId(raw)))
+    }
+
+    fn lookup_document(&mut self, title: &str) -> TxR<Option<DocumentId>> {
+        let by_title = &self.0.world().by_title;
+        Ok(by_title.get(&title.to_string()).map(|raw| DocumentId(*raw)))
+    }
+
+    fn atomics_in_date_range(&mut self, lo: i32, hi: i32) -> TxR<Vec<AtomicPartId>> {
+        self.0.scan_dates(lo, hi)
+    }
+
+    fn all_atomic_ids(&mut self) -> TxR<Vec<AtomicPartId>> {
+        let mut out = Vec::new();
+        let owners = &self.0.world().atomic_owner;
+        owners.for_each(|raw, _| out.push(AtomicPartId(*raw)));
+        Ok(out)
+    }
+
+    fn all_base_ids(&mut self) -> TxR<Vec<BaseAssemblyId>> {
+        let mut out = Vec::new();
+        let ids = &self.0.world().base_ids;
+        ids.for_each(|raw, _| out.push(BaseAssemblyId(*raw)));
+        Ok(out)
+    }
+
+    fn pool_capacity(&mut self, kind: PoolKind) -> TxR<usize> {
+        let pools = &self.0.world().sm.pools;
+        let pool = match kind {
+            PoolKind::Atomic => &pools.atomic,
+            PoolKind::Composite => &pools.composite,
+            PoolKind::Document => &pools.document,
+            PoolKind::Base => &pools.base,
+            PoolKind::Complex => &pools.complex,
         };
-        let shard = self.world.date_shard_of(id.raw());
-        let index = self.date[shard].as_mut().ok_or(UNPLANNED)?.get_mut()?;
-        index.remove(&(old, id.raw()));
-        index.insert((date, id.raw()), ());
-        Ok(())
-    }
-
-    fn lookup_atomic(&mut self, raw: u32) -> TxR<Option<AtomicPartId>> {
-        Ok(self.world.atomic_owner.get(&raw).map(|_| AtomicPartId(raw)))
-    }
-
-    fn lookup_composite(&mut self, raw: u32) -> TxR<Option<CompositePartId>> {
-        Ok(self
-            .world
-            .composite_ids
-            .get(&raw)
-            .map(|_| CompositePartId(raw)))
-    }
-
-    fn lookup_base(&mut self, raw: u32) -> TxR<Option<BaseAssemblyId>> {
-        Ok(self.world.base_ids.get(&raw).map(|_| BaseAssemblyId(raw)))
-    }
-
-    fn lookup_complex(&mut self, raw: u32) -> TxR<Option<ComplexAssemblyId>> {
-        Ok(self
-            .world
-            .sm
-            .complex_index
-            .get(&raw)
-            .map(|_| ComplexAssemblyId(raw)))
-    }
-
-    fn lookup_document(&mut self, title: &str) -> TxR<Option<DocumentId>> {
-        Ok(self
-            .world
-            .by_title
-            .get(&title.to_string())
-            .map(|raw| DocumentId(*raw)))
-    }
-
-    fn atomics_in_date_range(&mut self, lo: i32, hi: i32) -> TxR<Vec<AtomicPartId>> {
-        // Every shard must be in the plan (discovery plans them all for
-        // range scans); merge the sorted slices back into global order.
-        let mut entries: Vec<(i32, u32)> = Vec::new();
-        for slot in &self.date {
-            let index = slot.as_ref().ok_or(UNPLANNED)?.get();
-            index.for_range(&(lo, 0), &(hi, u32::MAX), |k, _| entries.push(*k));
-        }
-        Ok(stmbench7_data::sharded::merge_date_entries(entries))
-    }
-
-    fn all_atomic_ids(&mut self) -> TxR<Vec<AtomicPartId>> {
-        let mut out = Vec::new();
-        self.world
-            .atomic_owner
-            .for_each(|raw, _| out.push(AtomicPartId(*raw)));
-        Ok(out)
-    }
-
-    fn all_base_ids(&mut self) -> TxR<Vec<BaseAssemblyId>> {
-        let mut out = Vec::new();
-        self.world
-            .base_ids
-            .for_each(|raw, _| out.push(BaseAssemblyId(*raw)));
-        Ok(out)
-    }
-
-    fn pool_capacity(&mut self, kind: PoolKind) -> TxR<usize> {
-        Ok(pool_capacity_of(&self.world.sm, kind))
-    }
-
-    fn create_atomic(
-        &mut self,
-        _make: impl FnOnce(AtomicPartId) -> AtomicPart,
-    ) -> TxR<Option<AtomicPartId>> {
-        Err(GATED)
-    }
-
-    fn create_composite(
-        &mut self,
-        _make: impl FnOnce(CompositePartId) -> CompositePart,
-    ) -> TxR<Option<CompositePartId>> {
-        Err(GATED)
-    }
-
-    fn create_document(
-        &mut self,
-        _make: impl FnOnce(DocumentId) -> Document,
-    ) -> TxR<Option<DocumentId>> {
-        Err(GATED)
-    }
-
-    fn create_base(
-        &mut self,
-        _make: impl FnOnce(BaseAssemblyId) -> BaseAssembly,
-    ) -> TxR<Option<BaseAssemblyId>> {
-        Err(GATED)
-    }
-
-    fn create_complex(
-        &mut self,
-        _level: u8,
-        _make: impl FnOnce(ComplexAssemblyId) -> ComplexAssembly,
-    ) -> TxR<Option<ComplexAssemblyId>> {
-        Err(GATED)
-    }
-
-    fn delete_atomic(&mut self, _id: AtomicPartId) -> TxR<AtomicPart> {
-        Err(GATED)
-    }
-
-    fn delete_composite(&mut self, _id: CompositePartId) -> TxR<CompositePart> {
-        Err(GATED)
-    }
-
-    fn delete_document(&mut self, _id: DocumentId) -> TxR<Document> {
-        Err(GATED)
-    }
-
-    fn delete_base(&mut self, _id: BaseAssemblyId) -> TxR<BaseAssembly> {
-        Err(GATED)
-    }
-
-    fn delete_complex(&mut self, _id: ComplexAssemblyId) -> TxR<ComplexAssembly> {
-        Err(GATED)
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Exclusive execution (SM operations and the fallback path)
-// ---------------------------------------------------------------------------
-
-/// Gate-exclusive transaction with direct mutable access; the only one
-/// allowed to create and delete objects.
-struct FullTx<'a> {
-    module: &'a Module,
-    world: &'a mut FineWorld,
-}
-
-impl FullTx<'_> {
-    fn owner_of_atomic(&self, raw: u32) -> TxR<u32> {
-        self.world.atomic_owner.get(&raw).copied().ok_or(MISSING)
-    }
-
-    fn owner_of_doc(&self, raw: u32) -> TxR<u32> {
-        self.world.doc_owner.get(&raw).copied().ok_or(MISSING)
-    }
-
-    fn cell_mut(&mut self, owner: u32) -> TxR<&mut CompositeCell> {
-        Ok(self.world.cells.get_mut(owner).ok_or(MISSING)?.get_mut())
-    }
-
-    /// Removes a cell once its last member is gone.
-    fn gc_cell(&mut self, owner: u32) {
-        let empty = self
-            .world
-            .cells
-            .get_mut(owner)
-            .map(|c| c.get_mut().is_tombstone())
-            .unwrap_or(false);
-        if empty {
-            self.world.cells.remove(owner);
-        }
-    }
-}
-
-impl Sb7Tx for FullTx<'_> {
-    fn module<R>(&mut self, f: impl FnOnce(&Module) -> R) -> TxR<R> {
-        Ok(f(self.module))
-    }
-
-    fn manual_text_len(&mut self) -> TxR<usize> {
-        Ok(self.world.manual.get_mut().text.len())
-    }
-
-    fn manual_count_char(&mut self, c: char) -> TxR<usize> {
-        Ok(stmbench7_data::text::count_char(
-            &self.world.manual.get_mut().text,
-            c,
-        ))
-    }
-
-    fn manual_first_last_equal(&mut self) -> TxR<bool> {
-        Ok(stmbench7_data::text::first_last_equal(
-            &self.world.manual.get_mut().text,
-        ))
-    }
-
-    fn manual_swap_case(&mut self) -> TxR<usize> {
-        Ok(stmbench7_data::text::swap_manual_case(
-            &mut self.world.manual.get_mut().text,
-        ))
-    }
-
-    fn set_design_root(&mut self, _root: ComplexAssemblyId) -> TxR<()> {
-        Err(TxErr::Invariant(
-            "the module is immutable once a backend is constructed",
-        ))
-    }
-
-    fn atomic<R>(&mut self, id: AtomicPartId, f: impl FnOnce(&AtomicPart) -> R) -> TxR<R> {
-        let owner = self.owner_of_atomic(id.raw())?;
-        self.cell_mut(owner)?
-            .parts
-            .get(&id.raw())
-            .map(f)
-            .ok_or(MISSING)
-    }
-
-    fn composite<R>(&mut self, id: CompositePartId, f: impl FnOnce(&CompositePart) -> R) -> TxR<R> {
-        self.cell_mut(id.raw())?.comp.as_ref().map(f).ok_or(MISSING)
-    }
-
-    fn base<R>(&mut self, id: BaseAssemblyId, f: impl FnOnce(&BaseAssembly) -> R) -> TxR<R> {
-        Ok(f(self
-            .world
-            .bases
-            .get_mut(id.raw())
-            .ok_or(MISSING)?
-            .get_mut()))
-    }
-
-    fn complex<R>(
-        &mut self,
-        id: ComplexAssemblyId,
-        f: impl FnOnce(&ComplexAssembly) -> R,
-    ) -> TxR<R> {
-        Ok(f(self
-            .world
-            .complexes
-            .get_mut(id.raw())
-            .ok_or(MISSING)?
-            .get_mut()))
-    }
-
-    fn document<R>(&mut self, id: DocumentId, f: impl FnOnce(&Document) -> R) -> TxR<R> {
-        let owner = self.owner_of_doc(id.raw())?;
-        self.cell_mut(owner)?.doc.as_ref().map(f).ok_or(MISSING)
-    }
-
-    fn atomic_mut<R>(&mut self, id: AtomicPartId, f: impl FnOnce(&mut AtomicPart) -> R) -> TxR<R> {
-        let owner = self.owner_of_atomic(id.raw())?;
-        self.cell_mut(owner)?
-            .parts
-            .get_mut(&id.raw())
-            .map(f)
-            .ok_or(MISSING)
-    }
-
-    fn composite_mut<R>(
-        &mut self,
-        id: CompositePartId,
-        f: impl FnOnce(&mut CompositePart) -> R,
-    ) -> TxR<R> {
-        self.cell_mut(id.raw())?.comp.as_mut().map(f).ok_or(MISSING)
-    }
-
-    fn base_mut<R>(
-        &mut self,
-        id: BaseAssemblyId,
-        f: impl FnOnce(&mut BaseAssembly) -> R,
-    ) -> TxR<R> {
-        Ok(f(self
-            .world
-            .bases
-            .get_mut(id.raw())
-            .ok_or(MISSING)?
-            .get_mut()))
-    }
-
-    fn complex_mut<R>(
-        &mut self,
-        id: ComplexAssemblyId,
-        f: impl FnOnce(&mut ComplexAssembly) -> R,
-    ) -> TxR<R> {
-        Ok(f(self
-            .world
-            .complexes
-            .get_mut(id.raw())
-            .ok_or(MISSING)?
-            .get_mut()))
-    }
-
-    fn document_mut<R>(&mut self, id: DocumentId, f: impl FnOnce(&mut Document) -> R) -> TxR<R> {
-        let owner = self.owner_of_doc(id.raw())?;
-        self.cell_mut(owner)?.doc.as_mut().map(f).ok_or(MISSING)
-    }
-
-    fn set_atomic_build_date(&mut self, id: AtomicPartId, date: i32) -> TxR<()> {
-        let owner = self.owner_of_atomic(id.raw())?;
-        let part = self
-            .cell_mut(owner)?
-            .parts
-            .get_mut(&id.raw())
-            .ok_or(MISSING)?;
-        let old = part.build_date;
-        part.build_date = date;
-        let shard = self.world.date_shard_of(id.raw());
-        let index = self.world.by_date[shard].get_mut();
-        index.remove(&(old, id.raw()));
-        index.insert((date, id.raw()), ());
-        Ok(())
-    }
-
-    fn lookup_atomic(&mut self, raw: u32) -> TxR<Option<AtomicPartId>> {
-        Ok(self.world.atomic_owner.get(&raw).map(|_| AtomicPartId(raw)))
-    }
-
-    fn lookup_composite(&mut self, raw: u32) -> TxR<Option<CompositePartId>> {
-        Ok(self
-            .world
-            .composite_ids
-            .get(&raw)
-            .map(|_| CompositePartId(raw)))
-    }
-
-    fn lookup_base(&mut self, raw: u32) -> TxR<Option<BaseAssemblyId>> {
-        Ok(self.world.base_ids.get(&raw).map(|_| BaseAssemblyId(raw)))
-    }
-
-    fn lookup_complex(&mut self, raw: u32) -> TxR<Option<ComplexAssemblyId>> {
-        Ok(self
-            .world
-            .sm
-            .complex_index
-            .get(&raw)
-            .map(|_| ComplexAssemblyId(raw)))
-    }
-
-    fn lookup_document(&mut self, title: &str) -> TxR<Option<DocumentId>> {
-        Ok(self
-            .world
-            .by_title
-            .get(&title.to_string())
-            .map(|raw| DocumentId(*raw)))
-    }
-
-    fn atomics_in_date_range(&mut self, lo: i32, hi: i32) -> TxR<Vec<AtomicPartId>> {
-        let mut entries: Vec<(i32, u32)> = Vec::new();
-        for lock in &mut self.world.by_date {
-            lock.get_mut()
-                .for_range(&(lo, 0), &(hi, u32::MAX), |k, _| entries.push(*k));
-        }
-        Ok(stmbench7_data::sharded::merge_date_entries(entries))
-    }
-
-    fn all_atomic_ids(&mut self) -> TxR<Vec<AtomicPartId>> {
-        let mut out = Vec::new();
-        self.world
-            .atomic_owner
-            .for_each(|raw, _| out.push(AtomicPartId(*raw)));
-        Ok(out)
-    }
-
-    fn all_base_ids(&mut self) -> TxR<Vec<BaseAssemblyId>> {
-        let mut out = Vec::new();
-        self.world
-            .base_ids
-            .for_each(|raw, _| out.push(BaseAssemblyId(*raw)));
-        Ok(out)
-    }
-
-    fn pool_capacity(&mut self, kind: PoolKind) -> TxR<usize> {
-        Ok(pool_capacity_of(&self.world.sm, kind))
+        Ok(pool.capacity() as usize - pool.live())
     }
 
     fn create_atomic(
         &mut self,
         make: impl FnOnce(AtomicPartId) -> AtomicPart,
     ) -> TxR<Option<AtomicPartId>> {
-        let Some(raw) = self.world.sm.pools.atomic.alloc() else {
+        let world = self.0.world_mut()?;
+        let Some(raw) = world.sm.pools.atomic.alloc() else {
             return Ok(None);
         };
         let id = AtomicPartId(raw);
         let part = make(id);
         debug_assert_eq!(part.id, id);
         let owner = part.owner.raw();
-        let shard = self.world.date_shard_of(raw);
-        self.world.by_date[shard]
+        let shard = world.date_map.shard(raw);
+        world.by_date[shard]
             .get_mut()
             .insert((part.build_date, raw), ());
-        self.world.atomic_owner.insert(raw, owner);
-        let cell = self
+        world.atomic_owner.insert(raw, owner);
+        let cell = world
             .cell_mut(owner)
             .expect("atomic parts are created into existing cells");
         let previous = cell.parts.insert(raw, part);
@@ -1485,14 +799,15 @@ impl Sb7Tx for FullTx<'_> {
         &mut self,
         make: impl FnOnce(CompositePartId) -> CompositePart,
     ) -> TxR<Option<CompositePartId>> {
-        let Some(raw) = self.world.sm.pools.composite.alloc() else {
+        let world = self.0.world_mut()?;
+        let Some(raw) = world.sm.pools.composite.alloc() else {
             return Ok(None);
         };
         let id = CompositePartId(raw);
         let comp = make(id);
         debug_assert_eq!(comp.id, id);
-        self.world.composite_ids.insert(raw, ());
-        match self.world.cells.get_mut(raw) {
+        world.composite_ids.insert(raw, ());
+        match world.cells.get_mut(raw) {
             // A tombstone with this id can only linger within one SM
             // operation (the gate excludes everything else); reuse it.
             Some(cell) => {
@@ -1500,7 +815,7 @@ impl Sb7Tx for FullTx<'_> {
                 debug_assert!(cell.comp.is_none(), "composite id {raw} reused while live");
                 cell.comp = Some(comp);
             }
-            None => self.world.cells.insert(
+            None => world.cells.insert(
                 raw,
                 RwLock::new(CompositeCell {
                     comp: Some(comp),
@@ -1516,16 +831,17 @@ impl Sb7Tx for FullTx<'_> {
         &mut self,
         make: impl FnOnce(DocumentId) -> Document,
     ) -> TxR<Option<DocumentId>> {
-        let Some(raw) = self.world.sm.pools.document.alloc() else {
+        let world = self.0.world_mut()?;
+        let Some(raw) = world.sm.pools.document.alloc() else {
             return Ok(None);
         };
         let id = DocumentId(raw);
         let doc = make(id);
         debug_assert_eq!(doc.id, id);
         let owner = doc.part.raw();
-        self.world.doc_owner.insert(raw, owner);
-        self.world.by_title.insert(doc.title.clone(), raw);
-        let cell = self
+        world.doc_owner.insert(raw, owner);
+        world.by_title.insert(doc.title.clone(), raw);
+        let cell = world
             .cell_mut(owner)
             .expect("documents are created into existing cells");
         debug_assert!(cell.doc.is_none(), "cell {owner} already has a document");
@@ -1537,14 +853,15 @@ impl Sb7Tx for FullTx<'_> {
         &mut self,
         make: impl FnOnce(BaseAssemblyId) -> BaseAssembly,
     ) -> TxR<Option<BaseAssemblyId>> {
-        let Some(raw) = self.world.sm.pools.base.alloc() else {
+        let world = self.0.world_mut()?;
+        let Some(raw) = world.sm.pools.base.alloc() else {
             return Ok(None);
         };
         let id = BaseAssemblyId(raw);
         let b = make(id);
         debug_assert_eq!(b.id, id);
-        self.world.base_ids.insert(raw, ());
-        self.world.bases.insert(raw, RwLock::new(b));
+        world.base_ids.insert(raw, ());
+        world.bases.insert(raw, RwLock::new(b));
         Ok(Some(id))
     }
 
@@ -1553,72 +870,578 @@ impl Sb7Tx for FullTx<'_> {
         level: u8,
         make: impl FnOnce(ComplexAssemblyId) -> ComplexAssembly,
     ) -> TxR<Option<ComplexAssemblyId>> {
-        let Some(raw) = self.world.sm.pools.complex.alloc() else {
+        let world = self.0.world_mut()?;
+        let Some(raw) = world.sm.pools.complex.alloc() else {
             return Ok(None);
         };
         let id = ComplexAssemblyId(raw);
         let c = make(id);
         debug_assert_eq!(c.id, id);
         debug_assert_eq!(c.level, level);
-        self.world.sm.complex_index.insert(raw, level);
-        self.world.complexes.insert(raw, RwLock::new(c));
+        world.sm.complex_index.insert(raw, level);
+        world.complexes.insert(raw, RwLock::new(c));
         Ok(Some(id))
     }
 
     fn delete_atomic(&mut self, id: AtomicPartId) -> TxR<AtomicPart> {
+        let world = self.0.world_mut()?;
         let raw = id.raw();
-        let owner = self.world.atomic_owner.remove(&raw).ok_or(MISSING)?;
-        let part = self
+        let owner = world.atomic_owner.remove(&raw).ok_or(MISSING)?;
+        let part = world
             .cell_mut(owner)?
             .parts
             .remove(&raw)
             .expect("owner table and cell agree");
-        let shard = self.world.date_shard_of(raw);
-        self.world.by_date[shard]
+        let shard = world.date_map.shard(raw);
+        world.by_date[shard]
             .get_mut()
             .remove(&(part.build_date, raw));
-        assert!(self.world.sm.pools.atomic.free(raw), "pool drift");
-        self.gc_cell(owner);
+        assert!(world.sm.pools.atomic.free(raw), "pool drift");
+        world.gc_cell(owner);
         Ok(part)
     }
 
     fn delete_composite(&mut self, id: CompositePartId) -> TxR<CompositePart> {
+        let world = self.0.world_mut()?;
         let raw = id.raw();
-        let comp = self.cell_mut(raw)?.comp.take().ok_or(MISSING)?;
-        self.world.composite_ids.remove(&raw);
-        assert!(self.world.sm.pools.composite.free(raw), "pool drift");
-        self.gc_cell(raw);
+        let comp = world.cell_mut(raw)?.comp.take().ok_or(MISSING)?;
+        world.composite_ids.remove(&raw);
+        assert!(world.sm.pools.composite.free(raw), "pool drift");
+        world.gc_cell(raw);
         Ok(comp)
     }
 
     fn delete_document(&mut self, id: DocumentId) -> TxR<Document> {
+        let world = self.0.world_mut()?;
         let raw = id.raw();
-        let owner = self.world.doc_owner.remove(&raw).ok_or(MISSING)?;
-        let doc = self
+        let owner = world.doc_owner.remove(&raw).ok_or(MISSING)?;
+        let doc = world
             .cell_mut(owner)?
             .doc
             .take()
             .expect("owner table and cell agree");
-        self.world.by_title.remove(&doc.title);
-        assert!(self.world.sm.pools.document.free(raw), "pool drift");
-        self.gc_cell(owner);
+        world.by_title.remove(&doc.title);
+        assert!(world.sm.pools.document.free(raw), "pool drift");
+        world.gc_cell(owner);
         Ok(doc)
     }
 
     fn delete_base(&mut self, id: BaseAssemblyId) -> TxR<BaseAssembly> {
+        let world = self.0.world_mut()?;
         let raw = id.raw();
-        let cell = self.world.bases.remove(raw).ok_or(MISSING)?;
-        self.world.base_ids.remove(&raw);
-        assert!(self.world.sm.pools.base.free(raw), "pool drift");
+        let cell = world.bases.remove(raw).ok_or(MISSING)?;
+        world.base_ids.remove(&raw);
+        assert!(world.sm.pools.base.free(raw), "pool drift");
         Ok(cell.into_inner())
     }
 
     fn delete_complex(&mut self, id: ComplexAssemblyId) -> TxR<ComplexAssembly> {
+        let world = self.0.world_mut()?;
         let raw = id.raw();
-        let cell = self.world.complexes.remove(raw).ok_or(MISSING)?;
-        self.world.sm.complex_index.remove(&raw);
-        assert!(self.world.sm.pools.complex.free(raw), "pool drift");
+        let cell = world.complexes.remove(raw).ok_or(MISSING)?;
+        world.sm.complex_index.remove(&raw);
+        assert!(world.sm.pools.complex.free(raw), "pool drift");
         Ok(cell.into_inner())
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Discovery
+// ---------------------------------------------------------------------------
+
+/// Write buffer keeping discovery's control flow identical to a real
+/// execution (read-your-own-write), without publishing anything.
+/// Documents are keyed by their owning composite, as in the seam.
+#[derive(Default)]
+struct Overlay {
+    bases: HashMap<u32, BaseAssembly>,
+    complexes: HashMap<u32, ComplexAssembly>,
+    comps: HashMap<u32, CompositePart>,
+    docs: HashMap<u32, Document>,
+    parts: HashMap<u32, AtomicPart>,
+    manual: Option<Manual>,
+}
+
+/// The overlay copy of object `raw`, loaded on its first write.
+#[inline]
+fn buffered<T>(
+    overlay: &mut HashMap<u32, T>,
+    raw: u32,
+    load: impl FnOnce() -> TxR<T>,
+) -> TxR<&mut T> {
+    Ok(match overlay.entry(raw) {
+        Entry::Occupied(e) => e.into_mut(),
+        Entry::Vacant(e) => e.insert(load()?),
+    })
+}
+
+/// Phase-1 units: momentary per-object read locks (at most one held at a
+/// time), every access recorded in the plan, writes buffered locally.
+struct DiscoverTx<'a> {
+    world: &'a FineWorld,
+    plan: Plan,
+    overlay: Overlay,
+}
+
+impl FineUnits for DiscoverTx<'_> {
+    #[inline]
+    fn world(&self) -> &FineWorld {
+        self.world
+    }
+
+    #[inline]
+    fn manual<R>(&mut self, f: impl FnOnce(&Manual) -> R) -> TxR<R> {
+        self.plan.need(LockKey::Manual, false);
+        Ok(match &self.overlay.manual {
+            Some(m) => f(m),
+            None => f(&self.world.manual.read()),
+        })
+    }
+
+    #[inline]
+    fn manual_mut<R>(&mut self, f: impl FnOnce(&mut Manual) -> R) -> TxR<R> {
+        self.plan.need(LockKey::Manual, true);
+        let world = self.world;
+        let manual = &mut self.overlay.manual;
+        let m = manual.get_or_insert_with(|| world.manual.read().clone());
+        Ok(f(m))
+    }
+
+    #[inline]
+    fn base<R>(&mut self, raw: u32, f: impl FnOnce(&BaseAssembly) -> R) -> TxR<R> {
+        self.plan.need(LockKey::Base(raw), false);
+        match self.overlay.bases.get(&raw) {
+            Some(b) => Ok(f(b)),
+            None => Ok(f(&self.world.bases.get(raw).ok_or(MISSING)?.read())),
+        }
+    }
+
+    #[inline]
+    fn base_mut<R>(&mut self, raw: u32, f: impl FnOnce(&mut BaseAssembly) -> R) -> TxR<R> {
+        self.plan.need(LockKey::Base(raw), true);
+        let bases = &self.world.bases;
+        let b = buffered(&mut self.overlay.bases, raw, || {
+            Ok(bases.get(raw).ok_or(MISSING)?.read().clone())
+        })?;
+        Ok(f(b))
+    }
+
+    #[inline]
+    fn complex<R>(&mut self, raw: u32, f: impl FnOnce(&ComplexAssembly) -> R) -> TxR<R> {
+        self.plan.need(LockKey::Complex(raw), false);
+        match self.overlay.complexes.get(&raw) {
+            Some(c) => Ok(f(c)),
+            None => Ok(f(&self.world.complexes.get(raw).ok_or(MISSING)?.read())),
+        }
+    }
+
+    #[inline]
+    fn complex_mut<R>(&mut self, raw: u32, f: impl FnOnce(&mut ComplexAssembly) -> R) -> TxR<R> {
+        self.plan.need(LockKey::Complex(raw), true);
+        let complexes = &self.world.complexes;
+        let c = buffered(&mut self.overlay.complexes, raw, || {
+            Ok(complexes.get(raw).ok_or(MISSING)?.read().clone())
+        })?;
+        Ok(f(c))
+    }
+
+    #[inline]
+    fn composite<R>(&mut self, raw: u32, f: impl FnOnce(&CompositePart) -> R) -> TxR<R> {
+        self.plan.need(LockKey::Composite(raw), false);
+        match self.overlay.comps.get(&raw) {
+            Some(c) => Ok(f(c)),
+            None => {
+                let cell = self.world.read_cell(raw)?;
+                cell.comp.as_ref().map(f).ok_or(MISSING)
+            }
+        }
+    }
+
+    #[inline]
+    fn composite_mut<R>(&mut self, raw: u32, f: impl FnOnce(&mut CompositePart) -> R) -> TxR<R> {
+        self.plan.need(LockKey::Composite(raw), true);
+        let world = self.world;
+        let c = buffered(&mut self.overlay.comps, raw, || {
+            world.read_cell(raw)?.comp.clone().ok_or(MISSING)
+        })?;
+        Ok(f(c))
+    }
+
+    #[inline]
+    fn document<R>(&mut self, owner: u32, f: impl FnOnce(&Document) -> R) -> TxR<R> {
+        self.plan.need(LockKey::Composite(owner), false);
+        match self.overlay.docs.get(&owner) {
+            Some(d) => Ok(f(d)),
+            None => {
+                let cell = self.world.read_cell(owner)?;
+                cell.doc.as_ref().map(f).ok_or(MISSING)
+            }
+        }
+    }
+
+    #[inline]
+    fn document_mut<R>(&mut self, owner: u32, f: impl FnOnce(&mut Document) -> R) -> TxR<R> {
+        self.plan.need(LockKey::Composite(owner), true);
+        let world = self.world;
+        let d = buffered(&mut self.overlay.docs, owner, || {
+            world.read_cell(owner)?.doc.clone().ok_or(MISSING)
+        })?;
+        Ok(f(d))
+    }
+
+    #[inline]
+    fn atomic<R>(&mut self, owner: u32, raw: u32, f: impl FnOnce(&AtomicPart) -> R) -> TxR<R> {
+        self.plan.need(LockKey::Composite(owner), false);
+        match self.overlay.parts.get(&raw) {
+            Some(p) => Ok(f(p)),
+            None => {
+                let cell = self.world.read_cell(owner)?;
+                cell.parts.get(&raw).map(f).ok_or(MISSING)
+            }
+        }
+    }
+
+    #[inline]
+    fn atomic_mut<R>(
+        &mut self,
+        owner: u32,
+        raw: u32,
+        f: impl FnOnce(&mut AtomicPart) -> R,
+    ) -> TxR<R> {
+        self.plan.need(LockKey::Composite(owner), true);
+        let world = self.world;
+        let p = buffered(&mut self.overlay.parts, raw, || {
+            let cell = world.read_cell(owner)?;
+            cell.parts.get(&raw).cloned().ok_or(MISSING)
+        })?;
+        Ok(f(p))
+    }
+
+    #[inline]
+    fn move_date(&mut self, raw: u32, _old: i32, _new: i32) -> TxR<()> {
+        let shard = self.world.date_map.shard(raw) as u32;
+        self.plan.need(LockKey::DateShard(shard), true);
+        Ok(())
+    }
+
+    fn scan_dates(&mut self, lo: i32, hi: i32) -> TxR<Vec<AtomicPartId>> {
+        // A range spans every date shard; plan them all (read mode), read
+        // each momentarily, and record the result for execution to check.
+        let mut entries = Vec::new();
+        for (s, shard) in self.world.by_date.iter().enumerate() {
+            self.plan.need(LockKey::DateShard(s as u32), false);
+            collect_range(&shard.read(), lo, hi, &mut entries);
+        }
+        let ids = merge_date_entries(entries);
+        self.plan.scans.push(ids.clone());
+        Ok(ids)
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Planned execution
+// ---------------------------------------------------------------------------
+
+/// A possibly-held guard over one date-index shard.
+type HeldDateShard<'a> = Option<Held<'a, DateIndex>>;
+
+/// Phase-3 units: every access resolves against a guard acquired in
+/// canonical order from the discovered plan. An access outside the plan,
+/// or a scan that disagrees with discovery's, is a stale plan: [`UNPLANNED`]
+/// (an `Abort`) before the run's first write, [`STALE_AFTER_WRITE`] after.
+struct ExecTx<'a> {
+    world: &'a FineWorld,
+    /// Held date-index shards, slot `s` for shard `s`.
+    date: Vec<HeldDateShard<'a>>,
+    bases: HashMap<u32, Held<'a, BaseAssembly>>,
+    complexes: HashMap<u32, Held<'a, ComplexAssembly>>,
+    cells: HashMap<u32, Held<'a, CompositeCell>>,
+    manual: Option<Held<'a, Manual>>,
+    /// Discovery's scan results, in the order it made them.
+    scans: std::vec::IntoIter<Vec<AtomicPartId>>,
+    /// Whether this run has written anything yet.
+    wrote: bool,
+}
+
+impl<'a> ExecTx<'a> {
+    /// Acquires every planned lock, in `BTreeMap` (= canonical) order.
+    /// Built inside its [`FineTx`]: wrapping it afterwards moves all 240
+    /// bytes, a copy on every operation.
+    fn acquire(world: &'a FineWorld, plan: Plan) -> FineTx<Self> {
+        let mut tx = FineTx(ExecTx {
+            world,
+            date: (0..world.by_date.len()).map(|_| None).collect(),
+            bases: HashMap::new(),
+            complexes: HashMap::new(),
+            cells: HashMap::new(),
+            manual: None,
+            scans: plan.scans.into_iter(),
+            wrote: false,
+        });
+        let units = &mut tx.0;
+        for (key, write) in plan.locks {
+            match key {
+                LockKey::DateShard(s) => {
+                    units.date[s as usize] = Some(held(&world.by_date[s as usize], write));
+                }
+                LockKey::Base(raw) => {
+                    // Planned objects can only vanish through SM
+                    // operations, which the held gate excludes.
+                    let lock = world.bases.get(raw).expect("planned base exists");
+                    units.bases.insert(raw, held(lock, write));
+                }
+                LockKey::Complex(raw) => {
+                    let lock = world.complexes.get(raw).expect("planned complex exists");
+                    units.complexes.insert(raw, held(lock, write));
+                }
+                LockKey::Composite(raw) => {
+                    let lock = world.cells.get(raw).expect("planned cell exists");
+                    units.cells.insert(raw, held(lock, write));
+                }
+                LockKey::Manual => {
+                    units.manual = Some(held(&world.manual, write));
+                }
+            }
+        }
+        tx
+    }
+}
+
+/// The error for a stale plan: retryable until the run has written.
+#[inline]
+fn stale(wrote: bool) -> TxErr {
+    if wrote {
+        STALE_AFTER_WRITE
+    } else {
+        UNPLANNED
+    }
+}
+
+/// A held guard's object, for reading.
+#[inline]
+fn read_held<'s, T>(wrote: bool, slot: Option<&'s Held<'_, T>>) -> TxR<&'s T> {
+    slot.map(Held::get).ok_or(stale(wrote))
+}
+
+/// A held write guard's object; marks the run as having written.
+#[inline]
+fn write_held<'s, T>(wrote: &mut bool, slot: Option<&'s mut Held<'_, T>>) -> TxR<&'s mut T> {
+    match slot {
+        Some(Held::Write(g)) => {
+            *wrote = true;
+            Ok(&mut **g)
+        }
+        _ => Err(stale(*wrote)),
+    }
+}
+
+impl FineUnits for ExecTx<'_> {
+    #[inline]
+    fn world(&self) -> &FineWorld {
+        self.world
+    }
+
+    #[inline]
+    fn manual<R>(&mut self, f: impl FnOnce(&Manual) -> R) -> TxR<R> {
+        Ok(f(read_held(self.wrote, self.manual.as_ref())?))
+    }
+
+    #[inline]
+    fn manual_mut<R>(&mut self, f: impl FnOnce(&mut Manual) -> R) -> TxR<R> {
+        Ok(f(write_held(&mut self.wrote, self.manual.as_mut())?))
+    }
+
+    #[inline]
+    fn base<R>(&mut self, raw: u32, f: impl FnOnce(&BaseAssembly) -> R) -> TxR<R> {
+        Ok(f(read_held(self.wrote, self.bases.get(&raw))?))
+    }
+
+    #[inline]
+    fn base_mut<R>(&mut self, raw: u32, f: impl FnOnce(&mut BaseAssembly) -> R) -> TxR<R> {
+        Ok(f(write_held(&mut self.wrote, self.bases.get_mut(&raw))?))
+    }
+
+    #[inline]
+    fn complex<R>(&mut self, raw: u32, f: impl FnOnce(&ComplexAssembly) -> R) -> TxR<R> {
+        Ok(f(read_held(self.wrote, self.complexes.get(&raw))?))
+    }
+
+    #[inline]
+    fn complex_mut<R>(&mut self, raw: u32, f: impl FnOnce(&mut ComplexAssembly) -> R) -> TxR<R> {
+        let c = write_held(&mut self.wrote, self.complexes.get_mut(&raw))?;
+        Ok(f(c))
+    }
+
+    #[inline]
+    fn composite<R>(&mut self, raw: u32, f: impl FnOnce(&CompositePart) -> R) -> TxR<R> {
+        let cell = read_held(self.wrote, self.cells.get(&raw))?;
+        cell.comp.as_ref().map(f).ok_or(MISSING)
+    }
+
+    #[inline]
+    fn composite_mut<R>(&mut self, raw: u32, f: impl FnOnce(&mut CompositePart) -> R) -> TxR<R> {
+        let cell = write_held(&mut self.wrote, self.cells.get_mut(&raw))?;
+        cell.comp.as_mut().map(f).ok_or(MISSING)
+    }
+
+    #[inline]
+    fn document<R>(&mut self, owner: u32, f: impl FnOnce(&Document) -> R) -> TxR<R> {
+        let cell = read_held(self.wrote, self.cells.get(&owner))?;
+        cell.doc.as_ref().map(f).ok_or(MISSING)
+    }
+
+    #[inline]
+    fn document_mut<R>(&mut self, owner: u32, f: impl FnOnce(&mut Document) -> R) -> TxR<R> {
+        let cell = write_held(&mut self.wrote, self.cells.get_mut(&owner))?;
+        cell.doc.as_mut().map(f).ok_or(MISSING)
+    }
+
+    #[inline]
+    fn atomic<R>(&mut self, owner: u32, raw: u32, f: impl FnOnce(&AtomicPart) -> R) -> TxR<R> {
+        let cell = read_held(self.wrote, self.cells.get(&owner))?;
+        cell.parts.get(&raw).map(f).ok_or(MISSING)
+    }
+
+    #[inline]
+    fn atomic_mut<R>(
+        &mut self,
+        owner: u32,
+        raw: u32,
+        f: impl FnOnce(&mut AtomicPart) -> R,
+    ) -> TxR<R> {
+        let cell = write_held(&mut self.wrote, self.cells.get_mut(&owner))?;
+        cell.parts.get_mut(&raw).map(f).ok_or(MISSING)
+    }
+
+    #[inline]
+    fn move_date(&mut self, raw: u32, old: i32, new: i32) -> TxR<()> {
+        let shard = self.world.date_map.shard(raw);
+        let index = write_held(&mut self.wrote, self.date[shard].as_mut())?;
+        index.remove(&(old, raw));
+        index.insert((new, raw), ());
+        Ok(())
+    }
+
+    fn scan_dates(&mut self, lo: i32, hi: i32) -> TxR<Vec<AtomicPartId>> {
+        // Discovery planned every shard for the scan; a result other than
+        // the one it recorded means the plan may miss a part.
+        let mut entries = Vec::new();
+        for slot in &self.date {
+            collect_range(read_held(self.wrote, slot.as_ref())?, lo, hi, &mut entries);
+        }
+        let ids = merge_date_entries(entries);
+        match self.scans.next() {
+            Some(planned) if planned == ids => Ok(ids),
+            _ => Err(stale(self.wrote)),
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Exclusive execution (SM operations and the fallback path)
+// ---------------------------------------------------------------------------
+
+/// Gate-exclusive units with direct mutable access; the only ones allowed
+/// to create and delete objects.
+struct FullTx<'a> {
+    world: &'a mut FineWorld,
+}
+
+impl FineUnits for FullTx<'_> {
+    #[inline]
+    fn world(&self) -> &FineWorld {
+        self.world
+    }
+
+    #[inline]
+    fn world_mut(&mut self) -> TxR<&mut FineWorld> {
+        Ok(self.world)
+    }
+
+    #[inline]
+    fn manual<R>(&mut self, f: impl FnOnce(&Manual) -> R) -> TxR<R> {
+        self.manual_mut(|m| f(m))
+    }
+
+    #[inline]
+    fn manual_mut<R>(&mut self, f: impl FnOnce(&mut Manual) -> R) -> TxR<R> {
+        Ok(f(self.world.manual.get_mut()))
+    }
+
+    #[inline]
+    fn base<R>(&mut self, raw: u32, f: impl FnOnce(&BaseAssembly) -> R) -> TxR<R> {
+        self.base_mut(raw, |b| f(b))
+    }
+
+    #[inline]
+    fn base_mut<R>(&mut self, raw: u32, f: impl FnOnce(&mut BaseAssembly) -> R) -> TxR<R> {
+        Ok(f(self.world.bases.get_mut(raw).ok_or(MISSING)?.get_mut()))
+    }
+
+    #[inline]
+    fn complex<R>(&mut self, raw: u32, f: impl FnOnce(&ComplexAssembly) -> R) -> TxR<R> {
+        self.complex_mut(raw, |c| f(c))
+    }
+
+    #[inline]
+    fn complex_mut<R>(&mut self, raw: u32, f: impl FnOnce(&mut ComplexAssembly) -> R) -> TxR<R> {
+        let c = self.world.complexes.get_mut(raw).ok_or(MISSING)?;
+        Ok(f(c.get_mut()))
+    }
+
+    #[inline]
+    fn composite<R>(&mut self, raw: u32, f: impl FnOnce(&CompositePart) -> R) -> TxR<R> {
+        self.composite_mut(raw, |c| f(c))
+    }
+
+    #[inline]
+    fn composite_mut<R>(&mut self, raw: u32, f: impl FnOnce(&mut CompositePart) -> R) -> TxR<R> {
+        let cell = self.world.cell_mut(raw)?;
+        cell.comp.as_mut().map(f).ok_or(MISSING)
+    }
+
+    #[inline]
+    fn document<R>(&mut self, owner: u32, f: impl FnOnce(&Document) -> R) -> TxR<R> {
+        self.document_mut(owner, |d| f(d))
+    }
+
+    #[inline]
+    fn document_mut<R>(&mut self, owner: u32, f: impl FnOnce(&mut Document) -> R) -> TxR<R> {
+        let cell = self.world.cell_mut(owner)?;
+        cell.doc.as_mut().map(f).ok_or(MISSING)
+    }
+
+    #[inline]
+    fn atomic<R>(&mut self, owner: u32, raw: u32, f: impl FnOnce(&AtomicPart) -> R) -> TxR<R> {
+        self.atomic_mut(owner, raw, |p| f(p))
+    }
+
+    #[inline]
+    fn atomic_mut<R>(
+        &mut self,
+        owner: u32,
+        raw: u32,
+        f: impl FnOnce(&mut AtomicPart) -> R,
+    ) -> TxR<R> {
+        let cell = self.world.cell_mut(owner)?;
+        cell.parts.get_mut(&raw).map(f).ok_or(MISSING)
+    }
+
+    #[inline]
+    fn move_date(&mut self, raw: u32, old: i32, new: i32) -> TxR<()> {
+        let shard = self.world.date_map.shard(raw);
+        let index = self.world.by_date[shard].get_mut();
+        index.remove(&(old, raw));
+        index.insert((new, raw), ());
+        Ok(())
+    }
+
+    fn scan_dates(&mut self, lo: i32, hi: i32) -> TxR<Vec<AtomicPartId>> {
+        let mut entries = Vec::new();
+        for lock in &mut self.world.by_date {
+            collect_range(lock.get_mut(), lo, hi, &mut entries);
+        }
+        Ok(merge_date_entries(entries))
     }
 }
 
@@ -1890,6 +1713,225 @@ mod tests {
                 });
             }
         });
+        stmbench7_data::validate(&backend.export()).unwrap();
+    }
+
+    struct MoveDate(AtomicPartId, i32);
+    impl TxOperation<()> for MoveDate {
+        fn run<T: Sb7Tx>(&mut self, tx: &mut T) -> TxR<()> {
+            tx.set_atomic_build_date(self.0, self.1)
+        }
+    }
+
+    /// OP10's shape: scan one build date, then swap x/y of every part
+    /// found. Its first discovery run, after the scan, has another thread
+    /// move `mover` — a part of a composite the plan does not cover — into
+    /// that date, so execution finds one part more than was planned.
+    struct SwapDate<'b> {
+        backend: &'b FineBackend,
+        date: i32,
+        mover: AtomicPartId,
+        runs: u32,
+    }
+    impl TxOperation<usize> for SwapDate<'_> {
+        fn run<T: Sb7Tx>(&mut self, tx: &mut T) -> TxR<usize> {
+            let ids = tx.atomics_in_date_range(self.date, self.date)?;
+            if self.runs == 0 {
+                let (backend, mut mover) = (self.backend, MoveDate(self.mover, self.date));
+                std::thread::scope(|s| {
+                    s.spawn(|| backend.execute(&regular().atomics(Mode::Write), &mut mover));
+                });
+            }
+            self.runs += 1;
+            for &id in &ids {
+                tx.atomic(id, |p| p.x)?;
+                tx.atomic_mut(id, |p| p.swap_xy())?;
+            }
+            Ok(ids.len())
+        }
+    }
+
+    #[test]
+    fn stale_plan_retry_does_not_repeat_writes() {
+        let backend = build(24);
+        let before = backend.export();
+        let parts: Vec<&AtomicPart> = before.atomics.store.iter().map(|(_, p)| p).collect();
+        // The date of the lowest part id, and the highest part id outside
+        // every composite holding a part of that date: the moved part sorts
+        // last, after parts execution would already have swapped.
+        let date = parts[0].build_date;
+        let in_range: Vec<&AtomicPart> = parts
+            .iter()
+            .copied()
+            .filter(|p| p.build_date == date)
+            .collect();
+        let planned: Vec<CompositePartId> = in_range.iter().map(|p| p.owner).collect();
+        let mover = parts
+            .iter()
+            .rev()
+            .find(|p| !planned.contains(&p.owner))
+            .expect("a part outside the planned composites");
+        assert!(
+            in_range.iter().any(|p| p.x != p.y),
+            "a swap must be visible"
+        );
+
+        let mut op = SwapDate {
+            backend: &backend,
+            date,
+            mover: mover.id,
+            runs: 0,
+        };
+        assert_eq!(
+            backend.execute(&regular().atomics(Mode::Write), &mut op),
+            in_range.len() + 1
+        );
+        let stats = backend.fine_stats();
+        assert_eq!((stats.plan_retries, stats.fallbacks), (1, 0), "{stats:?}");
+
+        let after = backend.export();
+        for p in &parts {
+            let now = after
+                .atomics
+                .store
+                .get(p.id.raw())
+                .expect("no part vanished");
+            let swapped = p.build_date == date || p.id == mover.id;
+            let expect = if swapped { (p.y, p.x) } else { (p.x, p.y) };
+            let raw = p.id.raw();
+            assert_eq!(
+                (now.x, now.y),
+                expect,
+                "part {raw} must be swapped exactly once"
+            );
+        }
+        stmbench7_data::validate(&after).unwrap();
+    }
+
+    #[test]
+    #[should_panic(expected = "plan went stale after a write")]
+    fn unplanned_access_after_a_write_is_an_invariant_violation() {
+        // Both runs write into composite 1 first; discovery runs (even)
+        // then read composite 2 and execution runs (odd) composite 3. A
+        // retry would repeat the write, so the stale plan is not retried.
+        struct WriteThenDrift(u32);
+        impl TxOperation<()> for WriteThenDrift {
+            fn run<T: Sb7Tx>(&mut self, tx: &mut T) -> TxR<()> {
+                let raw = 2 + self.0 % 2;
+                self.0 += 1;
+                let comp = tx.lookup_composite(1)?.expect("composite 1 exists");
+                let part = tx.composite(comp, |c| c.graph.root())?;
+                tx.atomic_mut(part, |p| p.swap_xy())?;
+                let other = tx.lookup_composite(raw)?.expect("composites 2 and 3 exist");
+                tx.composite(other, |c| c.build_date).map(drop)
+            }
+        }
+        build(25).execute(&regular(), &mut WriteThenDrift(0));
+    }
+
+    /// Calls every accessor that changes the structure and records what
+    /// each returned, one list per run. Under an SM spec it creates one
+    /// object of each kind and deletes them again.
+    #[derive(Default)]
+    struct StructureWrites {
+        runs: Vec<Vec<(&'static str, TxR<()>)>>,
+    }
+    impl TxOperation<()> for StructureWrites {
+        fn run<T: Sb7Tx>(&mut self, tx: &mut T) -> TxR<()> {
+            use stmbench7_data::objects::AssemblyChildren;
+            let root = tx.module(|m| m.design_root)?;
+            let mut seen = vec![("set_design_root", tx.set_design_root(root))];
+            // Where a create is refused, the deletes name live objects.
+            let comp = tx.create_composite(|id| CompositePart {
+                id,
+                kind: 0,
+                build_date: 1000,
+                doc: DocumentId(1),
+                graph: Default::default(),
+                used_in: vec![],
+            });
+            seen.push(("create_composite", comp.map(drop)));
+            let comp = comp.ok().flatten().unwrap_or(CompositePartId(1));
+            let doc = tx.create_document(|id| Document {
+                id,
+                title: "Gate probe".to_string(),
+                text: String::new(),
+                part: comp,
+            });
+            seen.push(("create_document", doc.map(drop)));
+            let part = tx.create_atomic(|id| AtomicPart {
+                id,
+                kind: 0,
+                build_date: 1000,
+                x: 0,
+                y: 0,
+                owner: comp,
+            });
+            seen.push(("create_atomic", part.map(drop)));
+            let base = tx.create_base(|id| BaseAssembly {
+                id,
+                kind: 0,
+                build_date: 1000,
+                parent: root,
+                components: vec![],
+            });
+            seen.push(("create_base", base.map(drop)));
+            let complex = tx.create_complex(2, |id| ComplexAssembly {
+                id,
+                kind: 0,
+                build_date: 1000,
+                parent: Some(root),
+                level: 2,
+                children: AssemblyChildren::Base(vec![]),
+            });
+            seen.push(("create_complex", complex.map(drop)));
+            let part = part.ok().flatten().unwrap_or(AtomicPartId(1));
+            let doc = doc.ok().flatten().unwrap_or(DocumentId(1));
+            let base = base.ok().flatten().unwrap_or(BaseAssemblyId(1));
+            let complex = complex.ok().flatten().unwrap_or(root);
+            seen.push(("delete_atomic", tx.delete_atomic(part).map(drop)));
+            seen.push(("delete_document", tx.delete_document(doc).map(drop)));
+            seen.push(("delete_composite", tx.delete_composite(comp).map(drop)));
+            seen.push(("delete_base", tx.delete_base(base).map(drop)));
+            seen.push(("delete_complex", tx.delete_complex(complex).map(drop)));
+            self.runs.push(seen);
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn structure_writes_are_refused_outside_the_gate() {
+        let backend = build(26);
+        let mut op = StructureWrites::default();
+        backend.execute(&regular().composites(Mode::Write), &mut op);
+        // One discovery run and one execution run, both refused whole.
+        assert_eq!(op.runs.len(), 2);
+        for (run, seen) in op.runs.iter().enumerate() {
+            assert_eq!(seen.len(), 11, "run {run}");
+            for (accessor, r) in seen {
+                assert!(
+                    matches!(r, Err(TxErr::Invariant(m)) if *m != "object not found"),
+                    "run {run}: {accessor} returned {r:?}"
+                );
+            }
+        }
+        stmbench7_data::validate(&backend.export()).unwrap();
+
+        // Under the gate every create and delete succeeds; the module
+        // stays immutable, as under the medium-grained strategy.
+        let mut op = StructureWrites::default();
+        let sm = AccessSpec::new().sm_op().composites(Mode::Write);
+        backend.execute(&sm, &mut op);
+        let [seen] = op.runs.as_slice() else {
+            panic!("one exclusive run, not {}", op.runs.len());
+        };
+        for (accessor, r) in seen {
+            match *accessor {
+                "set_design_root" => assert!(matches!(r, Err(TxErr::Invariant(_)))),
+                _ => assert_eq!(r, &Ok(()), "{accessor}"),
+            }
+        }
+        assert_eq!(backend.fine_stats().exclusive_ops, 1);
         stmbench7_data::validate(&backend.export()).unwrap();
     }
 }
