@@ -368,16 +368,17 @@ mod tests {
 
     #[test]
     fn any_backend_names() {
+        // A report names its strategy by the spelling `-g` accepts back.
         let ws = Workspace::build(StructureParams::tiny(), 1);
-        for (choice, name) in [
-            (BackendChoice::Coarse, "coarse"),
-            (BackendChoice::Medium, "medium"),
-            (BackendChoice::Fine, "fine"),
-            (BackendChoice::FlatCombining, "flatcomb"),
-            (BackendChoice::DedicatedServer, "rcl"),
-        ] {
-            let b = AnyBackend::build(choice, ws.clone());
-            assert_eq!(b.name(), name);
+        let names = strategy_catalog()
+            .into_iter()
+            .map(|(name, _)| name)
+            .chain(["astm-sharded-visible"]);
+        for name in names {
+            let choice = BackendChoice::parse(name).unwrap();
+            let backend = AnyBackend::build(choice, ws.clone());
+            assert_eq!(backend.name(), choice.key(), "-g {name}");
+            assert_eq!(backend.name(), name);
         }
     }
 

@@ -759,14 +759,7 @@ impl<U: FineUnits> Sb7Tx for FineTx<U> {
     }
 
     fn pool_capacity(&mut self, kind: PoolKind) -> TxR<usize> {
-        let pools = &self.0.world().sm.pools;
-        let pool = match kind {
-            PoolKind::Atomic => &pools.atomic,
-            PoolKind::Composite => &pools.composite,
-            PoolKind::Document => &pools.document,
-            PoolKind::Base => &pools.base,
-            PoolKind::Complex => &pools.complex,
-        };
+        let pool = self.0.world().sm.pools.of(kind);
         Ok(pool.capacity() as usize - pool.live())
     }
 

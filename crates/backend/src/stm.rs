@@ -15,14 +15,29 @@
 //! * [`Granularity::Sharded`] — indexes are split into small per-bucket
 //!   cells and the manual into chunks: the "group small objects / split
 //!   the large ones" remedy sketched at the end of §5.
+//!
+//! All six indexes are one type, `TxIndex<RT, K, V>`, so the two rows of
+//! a runtime differ only in granularity and routing, never in how an
+//! index is read or written. The key type carries the routing rule of
+//! the sharded form, each written once:
+//!
+//! * raw ids (indexes 1, 3, 5 and 6) route by [`ShardMap`], as every
+//!   id-routed layer does;
+//! * `(date, id)` build-date entries (index 2) get one bucket per date,
+//!   clamped at `min/max ± DATE_MARGIN`, so a date-range scan reads only
+//!   the buckets of its dates;
+//! * titles (index 4) route by [`shard_of_str`]; lookups take a `&str`,
+//!   and the sharded form answers them without building a `String`.
 
+use std::borrow::Borrow;
 use std::cell::Cell as StdCell;
+use std::ops::RangeInclusive;
 
 use stmbench7_obs::{EventKind, Layer, Recorder};
 
 use stmbench7_data::access::PoolKind;
 use stmbench7_data::btree::BTree;
-use stmbench7_data::sharded::{shard_of_str, ShardMap, ShardedIndex};
+use stmbench7_data::sharded::{shard_of_str, ShardKey, ShardMap, ShardedIndex};
 use stmbench7_data::spec::AccessSpec;
 use stmbench7_data::workspace::{
     AtomicGroup, BaseGroup, ComplexLevelGroup, CompositeGroup, DocGroup, Pools, SmState, Store,
@@ -36,7 +51,7 @@ use stmbench7_data::{
 use stmbench7_stm::runtime::StmResult;
 use stmbench7_stm::{Abort, AstmRuntime, StatsSnapshot, StmRuntime, Tl2Runtime, TxVal};
 
-use crate::{Backend, TxOperation};
+use crate::{Backend, BackendChoice, TxOperation};
 
 /// Representation of indexes and the manual (see module docs).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
@@ -69,7 +84,7 @@ const DATE_MARGIN: i32 = 4;
 /// How many buckets `Granularity::Sharded` splits each index into: the
 /// first-class `--shards` axis when set — an explicit `--shards 1`
 /// really measures one bucket — else the historical default
-/// (`index_shards == 0` means unset). Routing matches
+/// (`index_shards == 0` means unset). Id and title routing match
 /// [`stmbench7_data::sharded`] exactly, so STM variable granularity and
 /// lock-shard granularity move together.
 fn stm_buckets(params: &StructureParams) -> usize {
@@ -80,19 +95,6 @@ fn stm_buckets(params: &StructureParams) -> usize {
     }
 }
 
-/// Collapses a (possibly sharded) workspace index into one tree — the
-/// monolithic transactional representation whose copy-on-write cost the
-/// paper measures.
-fn to_btree<K: Ord + Clone + stmbench7_data::ShardKey, V: Clone>(
-    idx: &ShardedIndex<K, V>,
-) -> BTree<K, V> {
-    let mut t = BTree::new();
-    idx.for_each(|k, v| {
-        t.insert(k.clone(), v.clone());
-    });
-    t
-}
-
 const MISSING: TxErr = TxErr::Invariant("object not found");
 
 fn stm<T>(r: StmResult<T>) -> TxR<T> {
@@ -100,84 +102,183 @@ fn stm<T>(r: StmResult<T>) -> TxR<T> {
 }
 
 // ---------------------------------------------------------------------------
-// Index representations
+// Index representation
 // ---------------------------------------------------------------------------
 
-/// Index of raw ids to a small copyable payload (`()` for presence
-/// indexes, `u8` for the complex-assembly level index).
-enum MapIndex<RT: StmRuntime, V: TxVal + Copy + Ord> {
-    Mono(RT::Var<BTree<u32, V>>),
-    /// Sorted buckets; the map routes a raw id to its bucket.
-    Sharded(ShardMap, Vec<RT::Var<Vec<(u32, V)>>>),
+/// A key of a transactional index, with the rule that routes it to one
+/// bucket of the sharded representation.
+trait IndexKey: TxVal + Ord + ShardKey + Borrow<Self::Key> {
+    /// The borrowed form lookups and removals take (`str` for titles), so
+    /// the sharded path finds a key without building an owned one.
+    type Key: ?Sized + Ord + ToOwned<Owned = Self>;
+    /// What the routing rule needs to know.
+    type Route: Send + Sync;
+
+    /// The routing rule for `params`, and how many buckets it routes to.
+    fn route(params: &StructureParams) -> (Self::Route, usize);
+    fn bucket(route: &Self::Route, key: &Self::Key) -> usize;
 }
 
-impl<RT: StmRuntime, V: TxVal + Copy + Ord> MapIndex<RT, V> {
+/// Raw ids route as every id-routed layer does, by [`ShardMap`].
+impl IndexKey for u32 {
+    type Key = u32;
+    type Route = ShardMap;
+
+    fn route(params: &StructureParams) -> (ShardMap, usize) {
+        let map = ShardMap::new(stm_buckets(params));
+        (map, map.count())
+    }
+
+    #[inline]
+    fn bucket(map: &ShardMap, raw: &u32) -> usize {
+        map.shard(*raw)
+    }
+}
+
+/// Build-date entries get one bucket per date in `[min - margin, max +
+/// margin]`, clamped at the edges; the entry keeps its date, so clamping
+/// never mixes two dates up.
+impl IndexKey for (i32, u32) {
+    type Key = (i32, u32);
+    type Route = RangeInclusive<i32>;
+
+    fn route(params: &StructureParams) -> (RangeInclusive<i32>, usize) {
+        let (lo, hi) = (params.min_date - DATE_MARGIN, params.max_date + DATE_MARGIN);
+        (lo..=hi, (hi - lo + 1) as usize)
+    }
+
+    #[inline]
+    fn bucket(dates: &RangeInclusive<i32>, &(date, _): &(i32, u32)) -> usize {
+        (date.clamp(*dates.start(), *dates.end()) - dates.start()) as usize
+    }
+}
+
+/// Titles route by [`shard_of_str`] over the bucket count.
+impl IndexKey for String {
+    type Key = str;
+    type Route = usize;
+
+    fn route(params: &StructureParams) -> (usize, usize) {
+        let count = stm_buckets(params);
+        (count, count)
+    }
+
+    #[inline]
+    fn bucket(count: &usize, title: &str) -> usize {
+        shard_of_str(title, *count)
+    }
+}
+
+/// One index of the structure: a single transactional tree (the paper's
+/// measured configuration) or sorted buckets, each its own variable.
+enum TxIndex<RT: StmRuntime, K: IndexKey, V: TxVal> {
+    Mono(RT::Var<BTree<K, V>>),
+    Sharded(K::Route, Vec<RT::Var<Vec<(K, V)>>>),
+}
+
+impl<RT: StmRuntime, K: IndexKey, V: TxVal> TxIndex<RT, K, V> {
     fn build(
         rt: &RT,
         granularity: Granularity,
-        buckets: usize,
-        entries: &ShardedIndex<u32, V>,
+        params: &StructureParams,
+        entries: &ShardedIndex<K, V>,
     ) -> Self {
         match granularity {
-            Granularity::Monolithic => MapIndex::Mono(rt.new_var(to_btree(entries))),
+            Granularity::Monolithic => {
+                let mut tree = BTree::new();
+                entries.for_each(|k, v| {
+                    tree.insert(k.clone(), v.clone());
+                });
+                TxIndex::Mono(rt.new_var(tree))
+            }
             Granularity::Sharded => {
-                let map = ShardMap::new(buckets);
-                let mut split: Vec<Vec<(u32, V)>> = vec![Vec::new(); buckets];
-                entries.for_each(|k, v| split[map.shard(*k)].push((*k, *v)));
-                MapIndex::Sharded(map, split.into_iter().map(|b| rt.new_var(b)).collect())
+                // `for_each` visits in key order, so every bucket is born
+                // sorted.
+                let (route, buckets) = K::route(params);
+                let mut split: Vec<Vec<(K, V)>> = vec![Vec::new(); buckets];
+                entries.for_each(|k, v| {
+                    split[K::bucket(&route, k.borrow())].push((k.clone(), v.clone()));
+                });
+                TxIndex::Sharded(route, split.into_iter().map(|b| rt.new_var(b)).collect())
             }
         }
     }
 
-    fn get(&self, tx: &mut RT::Tx<'_>, raw: u32) -> StmResult<Option<V>> {
+    fn get(&self, tx: &mut RT::Tx<'_>, key: &K::Key) -> StmResult<Option<V>> {
         match self {
-            MapIndex::Mono(var) => Ok(RT::read(tx, var)?.get(&raw).copied()),
-            MapIndex::Sharded(map, buckets) => {
-                let bucket = RT::read(tx, &buckets[map.shard(raw)])?;
+            TxIndex::Mono(var) => Ok(RT::read(tx, var)?.get(&key.to_owned()).cloned()),
+            TxIndex::Sharded(route, buckets) => {
+                let bucket = RT::read(tx, &buckets[K::bucket(route, key)])?;
                 Ok(bucket
-                    .binary_search_by_key(&raw, |(k, _)| *k)
+                    .binary_search_by(|(k, _)| k.borrow().cmp(key))
                     .ok()
-                    .map(|i| bucket[i].1))
+                    .map(|i| bucket[i].1.clone()))
             }
         }
     }
 
-    fn insert(&self, tx: &mut RT::Tx<'_>, raw: u32, value: V) -> StmResult<()> {
+    /// Inserts `key`, or overwrites its value.
+    fn insert(&self, tx: &mut RT::Tx<'_>, key: K, value: V) -> StmResult<()> {
         match self {
-            MapIndex::Mono(var) => RT::update(tx, var, |t| {
-                t.insert(raw, value);
+            TxIndex::Mono(var) => RT::update(tx, var, |t| {
+                t.insert(key, value);
             }),
-            MapIndex::Sharded(map, buckets) => RT::update(tx, &buckets[map.shard(raw)], |b| {
-                if let Err(i) = b.binary_search_by_key(&raw, |(k, _)| *k) {
-                    b.insert(i, (raw, value));
-                }
-            }),
+            TxIndex::Sharded(route, buckets) => {
+                let b = K::bucket(route, key.borrow());
+                RT::update(tx, &buckets[b], |bucket| {
+                    match bucket.binary_search_by(|(k, _)| k.cmp(&key)) {
+                        Ok(i) => bucket[i].1 = value,
+                        Err(i) => bucket.insert(i, (key, value)),
+                    }
+                })
+            }
         }
     }
 
-    fn remove(&self, tx: &mut RT::Tx<'_>, raw: u32) -> StmResult<()> {
+    fn remove(&self, tx: &mut RT::Tx<'_>, key: &K::Key) -> StmResult<()> {
         match self {
-            MapIndex::Mono(var) => RT::update(tx, var, |t| {
-                t.remove(&raw);
+            TxIndex::Mono(var) => RT::update(tx, var, |t| {
+                t.remove(&key.to_owned());
             }),
-            MapIndex::Sharded(map, buckets) => RT::update(tx, &buckets[map.shard(raw)], |b| {
-                if let Ok(i) = b.binary_search_by_key(&raw, |(k, _)| *k) {
-                    b.remove(i);
-                }
-            }),
+            TxIndex::Sharded(route, buckets) => {
+                RT::update(tx, &buckets[K::bucket(route, key)], |bucket| {
+                    if let Ok(i) = bucket.binary_search_by(|(k, _)| k.borrow().cmp(key)) {
+                        bucket.remove(i);
+                    }
+                })
+            }
         }
     }
 
+    /// The committed entries, as the workspace index with `shards` shards.
+    fn quiesced(&self, rt: &RT, shards: usize) -> ShardedIndex<K, V> {
+        let mut out = ShardedIndex::new(shards);
+        let mut put = |k: &K, v: &V| {
+            out.insert(k.clone(), v.clone());
+        };
+        match self {
+            TxIndex::Mono(var) => rt.read_quiesced(var).for_each(put),
+            TxIndex::Sharded(_, buckets) => {
+                for b in buckets {
+                    rt.read_quiesced(b).iter().for_each(|(k, v)| put(k, v));
+                }
+            }
+        }
+        out
+    }
+}
+
+impl<RT: StmRuntime, V: TxVal> TxIndex<RT, u32, V> {
     /// All keys in ascending order (index iteration, Q7/ST5).
-    fn all_keys(&self, tx: &mut RT::Tx<'_>) -> StmResult<Vec<u32>> {
+    fn keys(&self, tx: &mut RT::Tx<'_>) -> StmResult<Vec<u32>> {
         match self {
-            MapIndex::Mono(var) => {
+            TxIndex::Mono(var) => {
                 let t = RT::read(tx, var)?;
                 let mut out = Vec::with_capacity(t.len());
                 t.for_each(|k, _| out.push(*k));
                 Ok(out)
             }
-            MapIndex::Sharded(_, buckets) => {
+            TxIndex::Sharded(_, buckets) => {
                 let mut out = Vec::new();
                 for b in buckets {
                     out.extend(RT::read(tx, b)?.iter().map(|(k, _)| *k));
@@ -187,233 +288,34 @@ impl<RT: StmRuntime, V: TxVal + Copy + Ord> MapIndex<RT, V> {
             }
         }
     }
-
-    fn all_quiesced(&self, rt: &RT) -> Vec<(u32, V)> {
-        match self {
-            MapIndex::Mono(var) => {
-                let t = rt.read_quiesced(var);
-                let mut out = Vec::with_capacity(t.len());
-                t.for_each(|k, v| out.push((*k, *v)));
-                out
-            }
-            MapIndex::Sharded(_, buckets) => {
-                let mut out = Vec::new();
-                for b in buckets {
-                    out.extend(rt.read_quiesced(b).iter().copied());
-                }
-                out.sort_unstable();
-                out
-            }
-        }
-    }
 }
 
-/// The atomic-part build-date index (index 2): duplicate dates allowed.
-enum DateIndex<RT: StmRuntime> {
-    Mono(RT::Var<BTree<(i32, u32), ()>>),
-    /// One bucket per date in `[min - margin, max + margin]`, clamped at
-    /// the edges; entries are `(date, id)` so clamping stays correct.
-    Sharded {
-        lo: i32,
-        buckets: Vec<RT::Var<Vec<(i32, u32)>>>,
-    },
-}
-
-impl<RT: StmRuntime> DateIndex<RT> {
-    fn build(
-        rt: &RT,
-        granularity: Granularity,
-        params: &StructureParams,
-        entries: &ShardedIndex<(i32, u32), ()>,
-    ) -> Self {
-        match granularity {
-            Granularity::Monolithic => DateIndex::Mono(rt.new_var(to_btree(entries))),
-            Granularity::Sharded => {
-                let lo = params.min_date - DATE_MARGIN;
-                let hi = params.max_date + DATE_MARGIN;
-                let n = (hi - lo + 1) as usize;
-                let mut buckets: Vec<Vec<(i32, u32)>> = vec![Vec::new(); n];
-                entries.for_each(|(date, id), _| {
-                    let b = (date - lo).clamp(0, n as i32 - 1) as usize;
-                    buckets[b].push((*date, *id));
-                });
-                DateIndex::Sharded {
-                    lo,
-                    buckets: buckets.into_iter().map(|b| rt.new_var(b)).collect(),
-                }
-            }
-        }
-    }
-
-    fn bucket_of(lo: i32, len: usize, date: i32) -> usize {
-        (date - lo).clamp(0, len as i32 - 1) as usize
-    }
-
-    fn insert(&self, tx: &mut RT::Tx<'_>, date: i32, raw: u32) -> StmResult<()> {
-        match self {
-            DateIndex::Mono(var) => RT::update(tx, var, |t| {
-                t.insert((date, raw), ());
-            }),
-            DateIndex::Sharded { lo, buckets } => {
-                let b = Self::bucket_of(*lo, buckets.len(), date);
-                RT::update(tx, &buckets[b], |v| {
-                    if let Err(i) = v.binary_search(&(date, raw)) {
-                        v.insert(i, (date, raw));
-                    }
-                })
-            }
-        }
-    }
-
-    fn remove(&self, tx: &mut RT::Tx<'_>, date: i32, raw: u32) -> StmResult<()> {
-        match self {
-            DateIndex::Mono(var) => RT::update(tx, var, |t| {
-                t.remove(&(date, raw));
-            }),
-            DateIndex::Sharded { lo, buckets } => {
-                let b = Self::bucket_of(*lo, buckets.len(), date);
-                RT::update(tx, &buckets[b], |v| {
-                    if let Ok(i) = v.binary_search(&(date, raw)) {
-                        v.remove(i);
-                    }
-                })
-            }
-        }
-    }
-
+impl<RT: StmRuntime> TxIndex<RT, (i32, u32), ()> {
+    /// Ids of the parts built in `[from, to]`, in `(date, id)` order
+    /// (OP2/OP3/OP10).
     fn range(&self, tx: &mut RT::Tx<'_>, from: i32, to: i32) -> StmResult<Vec<u32>> {
         match self {
-            DateIndex::Mono(var) => {
+            TxIndex::Mono(var) => {
                 let t = RT::read(tx, var)?;
                 let mut out = Vec::new();
                 t.for_range(&(from, 0), &(to, u32::MAX), |k, _| out.push(k.1));
                 Ok(out)
             }
-            DateIndex::Sharded { lo, buckets } => {
-                let first = Self::bucket_of(*lo, buckets.len(), from);
-                let last = Self::bucket_of(*lo, buckets.len(), to);
+            TxIndex::Sharded(dates, buckets) => {
+                let first = <(i32, u32)>::bucket(dates, &(from, 0));
+                let last = <(i32, u32)>::bucket(dates, &(to, 0));
                 let mut out = Vec::new();
                 for b in &buckets[first..=last] {
                     out.extend(
                         RT::read(tx, b)?
                             .iter()
-                            .filter(|(d, _)| (from..=to).contains(d))
-                            .map(|(_, id)| *id),
+                            .filter(|((d, _), ())| (from..=to).contains(d))
+                            .map(|((_, id), ())| *id),
                     );
                 }
                 Ok(out)
             }
         }
-    }
-
-    fn all_quiesced(&self, rt: &RT, shards: usize) -> ShardedIndex<(i32, u32), ()> {
-        let mut tree = ShardedIndex::new(shards);
-        match self {
-            DateIndex::Mono(var) => {
-                rt.read_quiesced(var).for_each(|k, _| {
-                    tree.insert(*k, ());
-                });
-            }
-            DateIndex::Sharded { buckets, .. } => {
-                for b in buckets {
-                    for (d, id) in rt.read_quiesced(b).iter() {
-                        tree.insert((*d, *id), ());
-                    }
-                }
-            }
-        }
-        tree
-    }
-}
-
-/// The document-title index (index 4).
-enum TitleIndex<RT: StmRuntime> {
-    Mono(RT::Var<BTree<String, u32>>),
-    Sharded(Vec<RT::Var<Vec<(String, u32)>>>),
-}
-
-impl<RT: StmRuntime> TitleIndex<RT> {
-    fn build(
-        rt: &RT,
-        granularity: Granularity,
-        buckets: usize,
-        entries: &ShardedIndex<String, u32>,
-    ) -> Self {
-        match granularity {
-            Granularity::Monolithic => TitleIndex::Mono(rt.new_var(to_btree(entries))),
-            Granularity::Sharded => {
-                let mut split: Vec<Vec<(String, u32)>> = vec![Vec::new(); buckets];
-                entries.for_each(|k, v| split[shard_of_str(k, buckets)].push((k.clone(), *v)));
-                for b in &mut split {
-                    b.sort();
-                }
-                TitleIndex::Sharded(split.into_iter().map(|b| rt.new_var(b)).collect())
-            }
-        }
-    }
-
-    fn get(&self, tx: &mut RT::Tx<'_>, title: &str) -> StmResult<Option<u32>> {
-        match self {
-            TitleIndex::Mono(var) => Ok(RT::read(tx, var)?.get(&title.to_string()).copied()),
-            TitleIndex::Sharded(buckets) => {
-                let bucket = RT::read(tx, &buckets[shard_of_str(title, buckets.len())])?;
-                Ok(bucket
-                    .binary_search_by(|(t, _)| t.as_str().cmp(title))
-                    .ok()
-                    .map(|i| bucket[i].1))
-            }
-        }
-    }
-
-    fn insert(&self, tx: &mut RT::Tx<'_>, title: String, raw: u32) -> StmResult<()> {
-        match self {
-            TitleIndex::Mono(var) => RT::update(tx, var, |t| {
-                t.insert(title, raw);
-            }),
-            TitleIndex::Sharded(buckets) => {
-                let shard = shard_of_str(&title, buckets.len());
-                RT::update(tx, &buckets[shard], |b| {
-                    match b.binary_search_by(|(t, _)| t.cmp(&title)) {
-                        Ok(i) => b[i].1 = raw,
-                        Err(i) => b.insert(i, (title, raw)),
-                    }
-                })
-            }
-        }
-    }
-
-    fn remove(&self, tx: &mut RT::Tx<'_>, title: &str) -> StmResult<()> {
-        match self {
-            TitleIndex::Mono(var) => RT::update(tx, var, |t| {
-                t.remove(&title.to_string());
-            }),
-            TitleIndex::Sharded(buckets) => {
-                RT::update(tx, &buckets[shard_of_str(title, buckets.len())], |b| {
-                    if let Ok(i) = b.binary_search_by(|(t, _)| t.as_str().cmp(title)) {
-                        b.remove(i);
-                    }
-                })
-            }
-        }
-    }
-
-    fn all_quiesced(&self, rt: &RT, shards: usize) -> ShardedIndex<String, u32> {
-        let mut tree = ShardedIndex::new(shards);
-        match self {
-            TitleIndex::Mono(var) => {
-                rt.read_quiesced(var).for_each(|k, v| {
-                    tree.insert(k.clone(), *v);
-                });
-            }
-            TitleIndex::Sharded(buckets) => {
-                for b in buckets {
-                    for (t, id) in rt.read_quiesced(b).iter() {
-                        tree.insert(t.clone(), *id);
-                    }
-                }
-            }
-        }
-        tree
     }
 }
 
@@ -430,44 +332,33 @@ enum ManualRep<RT: StmRuntime> {
 // The backend
 // ---------------------------------------------------------------------------
 
-/// Names STM runtimes for reports.
+/// Names the strategy an STM runtime realises at a granularity. Reports
+/// print that choice's [`BackendChoice::key`], the spelling `-g` parses.
 pub trait RtName {
-    /// Short name ("astm", "tl2", "norec").
-    const NAME: &'static str;
-    /// Full display name including granularity and any mode the runtime
-    /// is configured with.
-    fn backend_name(&self, granularity: Granularity) -> &'static str;
+    /// The strategy this runtime, as configured, runs at `granularity`.
+    fn choice(&self, granularity: Granularity) -> BackendChoice;
 }
 
 impl RtName for AstmRuntime {
-    const NAME: &'static str = "astm";
-    fn backend_name(&self, granularity: Granularity) -> &'static str {
-        match (granularity, self.config().visible_reads) {
-            (Granularity::Monolithic, false) => "astm",
-            (Granularity::Sharded, false) => "astm-sharded",
-            (Granularity::Monolithic, true) => "astm-visible",
-            (Granularity::Sharded, true) => "astm-visible-sharded",
+    fn choice(&self, granularity: Granularity) -> BackendChoice {
+        let config = self.config();
+        BackendChoice::Astm {
+            granularity,
+            cm: config.cm,
+            visible: config.visible_reads,
         }
     }
 }
 
 impl RtName for Tl2Runtime {
-    const NAME: &'static str = "tl2";
-    fn backend_name(&self, granularity: Granularity) -> &'static str {
-        match granularity {
-            Granularity::Monolithic => "tl2",
-            Granularity::Sharded => "tl2-sharded",
-        }
+    fn choice(&self, granularity: Granularity) -> BackendChoice {
+        BackendChoice::Tl2 { granularity }
     }
 }
 
 impl RtName for stmbench7_stm::NorecRuntime {
-    const NAME: &'static str = "norec";
-    fn backend_name(&self, granularity: Granularity) -> &'static str {
-        match granularity {
-            Granularity::Monolithic => "norec",
-            Granularity::Sharded => "norec-sharded",
-        }
+    fn choice(&self, granularity: Granularity) -> BackendChoice {
+        BackendChoice::Norec { granularity }
     }
 }
 
@@ -486,12 +377,12 @@ pub struct StmBackend<RT: StmRuntime + RtName> {
     bases: Vec<RT::Var<Slot<BaseAssembly>>>,
     complexes: Vec<RT::Var<Slot<ComplexAssembly>>>,
     documents: Vec<RT::Var<Slot<Document>>>,
-    atomic_ids: MapIndex<RT, ()>,
-    atomic_dates: DateIndex<RT>,
-    composite_ids: MapIndex<RT, ()>,
-    doc_titles: TitleIndex<RT>,
-    base_ids: MapIndex<RT, ()>,
-    complex_levels: MapIndex<RT, u8>,
+    atomic_ids: TxIndex<RT, u32, ()>,
+    atomic_dates: TxIndex<RT, (i32, u32), ()>,
+    composite_ids: TxIndex<RT, u32, ()>,
+    doc_titles: TxIndex<RT, String, u32>,
+    base_ids: TxIndex<RT, u32, ()>,
+    complex_levels: TxIndex<RT, u32, u8>,
     recorder: Recorder,
 }
 
@@ -552,27 +443,12 @@ impl<RT: StmRuntime + RtName> StmBackend<RT> {
             bases: store_to_vars(&rt, &ws.bases.store, params.max_bases()),
             complexes: store_to_vars(&rt, &complex_store, params.max_complexes()),
             documents: store_to_vars(&rt, &ws.documents.store, params.max_comps()),
-            atomic_ids: MapIndex::build(&rt, granularity, stm_buckets(&params), &ws.atomics.by_id),
-            atomic_dates: DateIndex::build(&rt, granularity, &params, &ws.atomics.by_date),
-            composite_ids: MapIndex::build(
-                &rt,
-                granularity,
-                stm_buckets(&params),
-                &ws.composites.by_id,
-            ),
-            doc_titles: TitleIndex::build(
-                &rt,
-                granularity,
-                stm_buckets(&params),
-                &ws.documents.by_title,
-            ),
-            base_ids: MapIndex::build(&rt, granularity, stm_buckets(&params), &ws.bases.by_id),
-            complex_levels: MapIndex::build(
-                &rt,
-                granularity,
-                stm_buckets(&params),
-                &ws.sm.complex_index,
-            ),
+            atomic_ids: TxIndex::build(&rt, granularity, &params, &ws.atomics.by_id),
+            atomic_dates: TxIndex::build(&rt, granularity, &params, &ws.atomics.by_date),
+            composite_ids: TxIndex::build(&rt, granularity, &params, &ws.composites.by_id),
+            doc_titles: TxIndex::build(&rt, granularity, &params, &ws.documents.by_title),
+            base_ids: TxIndex::build(&rt, granularity, &params, &ws.bases.by_id),
+            complex_levels: TxIndex::build(&rt, granularity, &params, &ws.sm.complex_index),
             rt,
             recorder: Recorder::default(),
         }
@@ -638,7 +514,7 @@ impl<RT: StmRuntime + RtName> Backend for StmBackend<RT> {
     }
 
     fn name(&self) -> &'static str {
-        self.rt.backend_name(self.granularity)
+        self.rt.choice(self.granularity).key()
     }
 
     fn export(&self) -> Workspace {
@@ -661,17 +537,11 @@ impl<RT: StmRuntime + RtName> Backend for StmBackend<RT> {
         let shards = self.params.effective_shards();
         ws.sm = SmState {
             pools: (*rt.read_quiesced(&self.pools)).clone(),
-            complex_index: {
-                let mut t = ShardedIndex::new(shards);
-                for (k, v) in self.complex_levels.all_quiesced(rt) {
-                    t.insert(k, v);
-                }
-                t
-            },
+            complex_index: self.complex_levels.quiesced(rt, shards),
         };
         ws.bases = BaseGroup {
             store: vars_to_store(rt, &self.bases),
-            by_id: presence_index(self.base_ids.all_quiesced(rt), shards),
+            by_id: self.base_ids.quiesced(rt, shards),
         };
         let complex_store: Store<ComplexAssembly> = vars_to_store(rt, &self.complexes);
         let levels = usize::from(self.params.assembly_levels);
@@ -687,16 +557,16 @@ impl<RT: StmRuntime + RtName> Backend for StmBackend<RT> {
             .collect();
         ws.composites = CompositeGroup {
             store: vars_to_store(rt, &self.composites),
-            by_id: presence_index(self.composite_ids.all_quiesced(rt), shards),
+            by_id: self.composite_ids.quiesced(rt, shards),
         };
         ws.atomics = AtomicGroup {
             store: vars_to_store(rt, &self.atomics),
-            by_id: presence_index(self.atomic_ids.all_quiesced(rt), shards),
-            by_date: self.atomic_dates.all_quiesced(rt, shards),
+            by_id: self.atomic_ids.quiesced(rt, shards),
+            by_date: self.atomic_dates.quiesced(rt, shards),
         };
         ws.documents = DocGroup {
             store: vars_to_store(rt, &self.documents),
-            by_title: self.doc_titles.all_quiesced(rt, shards),
+            by_title: self.doc_titles.quiesced(rt, shards),
         };
         ws
     }
@@ -714,14 +584,6 @@ fn vars_to_store<RT: StmRuntime, T: TxVal>(rt: &RT, vars: &[RT::Var<Slot<T>>]) -
         }
     }
     store
-}
-
-fn presence_index(keys: Vec<(u32, ())>, shards: usize) -> ShardedIndex<u32, ()> {
-    let mut t = ShardedIndex::new(shards);
-    for (k, ()) in keys {
-        t.insert(k, ());
-    }
-    t
 }
 
 // ---------------------------------------------------------------------------
@@ -783,7 +645,7 @@ impl<RT: StmRuntime + RtName> StmTx<'_, '_, RT> {
     fn alloc(&mut self, kind: PoolKind) -> TxR<Option<u32>> {
         let mut out = None;
         stm(RT::update(self.tx, &self.ws.pools, |pools| {
-            out = pool_of_mut(pools, kind).alloc();
+            out = pools.of_mut(kind).alloc();
         }))?;
         Ok(out)
     }
@@ -792,28 +654,8 @@ impl<RT: StmRuntime + RtName> StmTx<'_, '_, RT> {
         stm(RT::update(self.tx, &self.ws.pools, |pools| {
             // A doomed transaction may free a stale id; ignore it — the
             // abort discards this pool clone anyway.
-            let _ = pool_of_mut(pools, kind).free(raw);
+            let _ = pools.of_mut(kind).free(raw);
         }))
-    }
-}
-
-fn pool_of_mut(pools: &mut Pools, kind: PoolKind) -> &mut stmbench7_data::IdPool {
-    match kind {
-        PoolKind::Atomic => &mut pools.atomic,
-        PoolKind::Composite => &mut pools.composite,
-        PoolKind::Document => &mut pools.document,
-        PoolKind::Base => &mut pools.base,
-        PoolKind::Complex => &mut pools.complex,
-    }
-}
-
-fn pool_of(pools: &Pools, kind: PoolKind) -> &stmbench7_data::IdPool {
-    match kind {
-        PoolKind::Atomic => &pools.atomic,
-        PoolKind::Composite => &pools.composite,
-        PoolKind::Document => &pools.document,
-        PoolKind::Base => &pools.base,
-        PoolKind::Complex => &pools.complex,
     }
 }
 
@@ -979,25 +821,25 @@ impl<RT: StmRuntime + RtName> Sb7Tx for StmTx<'_, '_, RT> {
             p.build_date = date;
             old
         })?;
-        stm(self.ws.atomic_dates.remove(self.tx, old, id.raw()))?;
-        stm(self.ws.atomic_dates.insert(self.tx, date, id.raw()))?;
+        stm(self.ws.atomic_dates.remove(self.tx, &(old, id.raw())))?;
+        stm(self.ws.atomic_dates.insert(self.tx, (date, id.raw()), ()))?;
         Ok(())
     }
 
     fn lookup_atomic(&mut self, raw: u32) -> TxR<Option<AtomicPartId>> {
-        Ok(stm(self.ws.atomic_ids.get(self.tx, raw))?.map(|()| AtomicPartId(raw)))
+        Ok(stm(self.ws.atomic_ids.get(self.tx, &raw))?.map(|()| AtomicPartId(raw)))
     }
 
     fn lookup_composite(&mut self, raw: u32) -> TxR<Option<CompositePartId>> {
-        Ok(stm(self.ws.composite_ids.get(self.tx, raw))?.map(|()| CompositePartId(raw)))
+        Ok(stm(self.ws.composite_ids.get(self.tx, &raw))?.map(|()| CompositePartId(raw)))
     }
 
     fn lookup_base(&mut self, raw: u32) -> TxR<Option<BaseAssemblyId>> {
-        Ok(stm(self.ws.base_ids.get(self.tx, raw))?.map(|()| BaseAssemblyId(raw)))
+        Ok(stm(self.ws.base_ids.get(self.tx, &raw))?.map(|()| BaseAssemblyId(raw)))
     }
 
     fn lookup_complex(&mut self, raw: u32) -> TxR<Option<ComplexAssemblyId>> {
-        Ok(stm(self.ws.complex_levels.get(self.tx, raw))?.map(|_| ComplexAssemblyId(raw)))
+        Ok(stm(self.ws.complex_levels.get(self.tx, &raw))?.map(|_| ComplexAssemblyId(raw)))
     }
 
     fn lookup_document(&mut self, title: &str) -> TxR<Option<DocumentId>> {
@@ -1012,14 +854,14 @@ impl<RT: StmRuntime + RtName> Sb7Tx for StmTx<'_, '_, RT> {
     }
 
     fn all_atomic_ids(&mut self) -> TxR<Vec<AtomicPartId>> {
-        Ok(stm(self.ws.atomic_ids.all_keys(self.tx))?
+        Ok(stm(self.ws.atomic_ids.keys(self.tx))?
             .into_iter()
             .map(AtomicPartId)
             .collect())
     }
 
     fn all_base_ids(&mut self) -> TxR<Vec<BaseAssemblyId>> {
-        Ok(stm(self.ws.base_ids.all_keys(self.tx))?
+        Ok(stm(self.ws.base_ids.keys(self.tx))?
             .into_iter()
             .map(BaseAssemblyId)
             .collect())
@@ -1027,7 +869,7 @@ impl<RT: StmRuntime + RtName> Sb7Tx for StmTx<'_, '_, RT> {
 
     fn pool_capacity(&mut self, kind: PoolKind) -> TxR<usize> {
         let pools = stm(RT::read(self.tx, &self.ws.pools))?;
-        let pool = pool_of(&pools, kind);
+        let pool = pools.of(kind);
         Ok(pool.capacity() as usize - pool.live())
     }
 
@@ -1043,7 +885,7 @@ impl<RT: StmRuntime + RtName> Sb7Tx for StmTx<'_, '_, RT> {
         let date = part.build_date;
         self.slot_insert(&self.ws.atomics, raw, part)?;
         stm(self.ws.atomic_ids.insert(self.tx, raw, ()))?;
-        stm(self.ws.atomic_dates.insert(self.tx, date, raw))?;
+        stm(self.ws.atomic_dates.insert(self.tx, (date, raw), ()))?;
         Ok(Some(id))
     }
 
@@ -1104,18 +946,18 @@ impl<RT: StmRuntime + RtName> Sb7Tx for StmTx<'_, '_, RT> {
 
     fn delete_atomic(&mut self, id: AtomicPartId) -> TxR<AtomicPart> {
         let part = self.slot_take(&self.ws.atomics, id.raw())?;
-        stm(self.ws.atomic_ids.remove(self.tx, id.raw()))?;
+        stm(self.ws.atomic_ids.remove(self.tx, &id.raw()))?;
         stm(self
             .ws
             .atomic_dates
-            .remove(self.tx, part.build_date, id.raw()))?;
+            .remove(self.tx, &(part.build_date, id.raw())))?;
         self.free(PoolKind::Atomic, id.raw())?;
         Ok(part)
     }
 
     fn delete_composite(&mut self, id: CompositePartId) -> TxR<CompositePart> {
         let comp = self.slot_take(&self.ws.composites, id.raw())?;
-        stm(self.ws.composite_ids.remove(self.tx, id.raw()))?;
+        stm(self.ws.composite_ids.remove(self.tx, &id.raw()))?;
         self.free(PoolKind::Composite, id.raw())?;
         Ok(comp)
     }
@@ -1129,14 +971,14 @@ impl<RT: StmRuntime + RtName> Sb7Tx for StmTx<'_, '_, RT> {
 
     fn delete_base(&mut self, id: BaseAssemblyId) -> TxR<BaseAssembly> {
         let base = self.slot_take(&self.ws.bases, id.raw())?;
-        stm(self.ws.base_ids.remove(self.tx, id.raw()))?;
+        stm(self.ws.base_ids.remove(self.tx, &id.raw()))?;
         self.free(PoolKind::Base, id.raw())?;
         Ok(base)
     }
 
     fn delete_complex(&mut self, id: ComplexAssemblyId) -> TxR<ComplexAssembly> {
         let ca = self.slot_take(&self.ws.complexes, id.raw())?;
-        stm(self.ws.complex_levels.remove(self.tx, id.raw()))?;
+        stm(self.ws.complex_levels.remove(self.tx, &id.raw()))?;
         self.free(PoolKind::Complex, id.raw())?;
         Ok(ca)
     }

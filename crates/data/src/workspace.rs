@@ -304,6 +304,32 @@ pub struct Pools {
     pub complex: IdPool,
 }
 
+impl Pools {
+    /// The pool that allocates ids of `kind`.
+    #[inline]
+    pub fn of(&self, kind: PoolKind) -> &IdPool {
+        match kind {
+            PoolKind::Atomic => &self.atomic,
+            PoolKind::Composite => &self.composite,
+            PoolKind::Document => &self.document,
+            PoolKind::Base => &self.base,
+            PoolKind::Complex => &self.complex,
+        }
+    }
+
+    /// As [`Pools::of`], for allocating and freeing.
+    #[inline]
+    pub fn of_mut(&mut self, kind: PoolKind) -> &mut IdPool {
+        match kind {
+            PoolKind::Atomic => &mut self.atomic,
+            PoolKind::Composite => &mut self.composite,
+            PoolKind::Document => &mut self.document,
+            PoolKind::Base => &mut self.base,
+            PoolKind::Complex => &mut self.complex,
+        }
+    }
+}
+
 /// State protected by the structure-modification gate: the pools and the
 /// complex-assembly id index (index 6), which doubles as the directory
 /// mapping a complex assembly's id to its level. Non-SM operations hold
@@ -725,14 +751,7 @@ impl<G: LockGroups> Sb7Tx for G {
     }
 
     fn pool_capacity(&mut self, kind: PoolKind) -> TxR<usize> {
-        let pools = &self.sm()?.pools;
-        let pool = match kind {
-            PoolKind::Atomic => &pools.atomic,
-            PoolKind::Composite => &pools.composite,
-            PoolKind::Document => &pools.document,
-            PoolKind::Base => &pools.base,
-            PoolKind::Complex => &pools.complex,
-        };
+        let pool = self.sm()?.pools.of(kind);
         Ok(pool.capacity() as usize - pool.live())
     }
 

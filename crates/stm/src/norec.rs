@@ -35,7 +35,9 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 
-use crate::runtime::{backoff, downcast, Abort, ErasedVal, StmResult, StmRuntime, TxVal};
+use crate::runtime::{
+    backoff, copy_on_write, downcast, Abort, ErasedVal, StmResult, StmRuntime, TxVal,
+};
 use crate::stats::{Counters, LocalCounts, StatsSnapshot};
 
 /// A variable: nothing but its committed value behind a short mutex.
@@ -204,9 +206,12 @@ impl StmRuntime for NorecRuntime {
     ) -> StmResult<()> {
         let key = Arc::as_ptr(&var.cell) as usize;
         if let Some((_, buffered)) = tx.writes.get_mut(&key) {
-            let mut arc_t: Arc<T> = downcast(buffered.clone());
-            f(Arc::make_mut(&mut arc_t));
-            *buffered = arc_t;
+            // Re-open: mutate the buffered value in place, unless a read
+            // handed out a handle to it that must not change.
+            match Arc::get_mut(buffered).and_then(|v| v.downcast_mut::<T>()) {
+                Some(value) => f(value),
+                None => *buffered = copy_on_write(buffered.clone(), f),
+            }
             return Ok(());
         }
         // Clone-on-write from a consistent read (registered, so commit

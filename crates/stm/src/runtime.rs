@@ -106,6 +106,13 @@ pub(crate) fn downcast<T: TxVal>(v: ErasedVal) -> Arc<T> {
         .unwrap_or_else(|_| panic!("transactional variable holds an unexpected type"))
 }
 
+/// Clones a value and applies `f` to the copy.
+pub(crate) fn copy_on_write<T: TxVal>(value: ErasedVal, f: impl FnOnce(&mut T)) -> ErasedVal {
+    let mut fresh = (*downcast::<T>(value)).clone();
+    f(&mut fresh);
+    Arc::new(fresh)
+}
+
 /// Hashes a cell address with one multiply.
 ///
 /// Keys are addresses of live cells the runtime allocated itself, never

@@ -42,7 +42,9 @@ use std::sync::Arc;
 
 use parking_lot::RwLock;
 
-use crate::runtime::{backoff, downcast, Abort, ErasedVal, PtrMap, StmResult, StmRuntime, TxVal};
+use crate::runtime::{
+    backoff, copy_on_write, downcast, Abort, ErasedVal, PtrMap, StmResult, StmRuntime, TxVal,
+};
 use crate::stats::{Counters, LocalCounts, StatsSnapshot};
 
 const LOCKED: u64 = 1;
@@ -367,13 +369,6 @@ impl Tl2Tx<'_> {
             // `rv` advanced; re-sample (the cell may be mid-commit).
         }
     }
-}
-
-/// Clones a committed value and applies `f` to the copy.
-fn copy_on_write<T: TxVal>(value: ErasedVal, f: impl FnOnce(&mut T)) -> ErasedVal {
-    let mut fresh = (*downcast::<T>(value)).clone();
-    f(&mut fresh);
-    Arc::new(fresh)
 }
 
 impl StmRuntime for Tl2Runtime {

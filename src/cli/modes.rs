@@ -142,6 +142,29 @@ fn describe(params: &StructureParams, ws: &Workspace) {
     );
 }
 
+/// Prints the counters that only the fine-grained and delegation
+/// strategies keep: how often plans went stale, how work was batched.
+fn print_strategy_counters(backend: &AnyBackend) {
+    let line = if let Some(f) = backend.fine_stats() {
+        format!(
+            "fine: planned {}  exclusive {}  locks {}  plan retries {}  fallbacks {}",
+            f.planned_ops, f.exclusive_ops, f.locks_acquired, f.plan_retries, f.fallbacks
+        )
+    } else if let Some(c) = backend.combining_stats() {
+        format!(
+            "{}: combines {}  combined {}  max batch {}  handoffs {}",
+            backend.name(),
+            c.combines,
+            c.combined,
+            c.max_batch,
+            c.handoffs
+        )
+    } else {
+        return;
+    };
+    println!("\n== Strategy counters ==\n  {line}");
+}
+
 /// The default mode: the paper's closed-loop benchmark.
 pub(super) fn run(o: &Opts) -> Outcome {
     if o.describe {
@@ -173,6 +196,7 @@ pub(super) fn run(o: &Opts) -> Outcome {
     );
     let report = run_benchmark(&session.backend, &session.params, &cfg);
     print!("{}", report.render(o.histograms));
+    print_strategy_counters(&session.backend);
 
     if let Some(path) = &o.csv {
         let rows = report.csv_rows();

@@ -150,6 +150,23 @@ fn stm_strategies_report_stm_statistics() {
     assert!(stdout.contains("commits"));
 }
 
+#[test]
+fn fine_and_delegation_strategies_report_their_counters() {
+    let (stdout, _) = run_ok(&["-s", "tiny", "-g", "fine", "-t", "2", "--ops", "200"]);
+    assert!(stdout.contains("== Strategy counters =="), "{stdout}");
+    assert!(stdout.contains("  fine: planned "), "{stdout}");
+    assert!(stdout.contains(" plan retries "), "{stdout}");
+    for strategy in ["flatcomb", "rcl"] {
+        let (stdout, _) = run_ok(&["-s", "tiny", "-g", strategy, "-t", "2", "--ops", "200"]);
+        let line = format!("  {strategy}: combines ");
+        assert!(stdout.contains(&line), "{stdout}");
+        // Two threads × 200 operations, each combined exactly once.
+        assert!(stdout.contains("  combined 400  "), "{stdout}");
+    }
+    let (stdout, _) = run_ok(&["-s", "tiny", "-g", "medium", "--ops", "50"]);
+    assert!(!stdout.contains("== Strategy counters =="), "{stdout}");
+}
+
 /// Runs the binary expecting a usage error: exit 2, `needle` and the
 /// usage text on stderr.
 fn assert_usage_error(args: &[&str], needle: &str) {
