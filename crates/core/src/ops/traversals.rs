@@ -4,16 +4,17 @@
 //! make STMBench7 a "crash test" for STMs: T1 alone opens every assembly,
 //! every composite part and every atomic part reachable from the module.
 //!
-//! # Walk scratch
+//! # Visit order
 //!
-//! The depth-first search over an atomic graph (`traverse_graph`, which
-//! also serves ST9/ST10) borrows its thread's `Walk`: a visited bitset
-//! and a stack that live from walk to walk, so a visit allocates nothing.
-//! It walks *local* indexes of the composite part's immutable
-//! [`PartGraph`]: each visited part is opened once through `tx.atomic`,
-//! then its targets go onto the stack from the graph's CSR arrays, in
-//! connection order, and are popped last-in first-out. That search order
-//! fixes every update order and every returned value, which
+//! The walk over an atomic graph (`traverse_graph`, which also serves
+//! ST9/ST10) iterates the composite part's immutable [`PartGraph`] in its
+//! stored depth-first order, [`PartGraph::dfs`]: the graph never changes,
+//! so neither does the order, and it is computed once when the graph is
+//! built. Each part in that order is opened once through `tx.atomic`,
+//! and an update follows its part's open, so every backend sees the
+//! accesses of a search from the root that pushes a part's targets in
+//! connection order and pops them last-in first-out. That order fixes
+//! every update order and every returned value, which
 //! `tests/op_outcomes_pinned.rs` holds to constants.
 
 use std::sync::Arc;
@@ -22,8 +23,6 @@ use stmbench7_data::objects::AssemblyChildren;
 use stmbench7_data::{
     AtomicPart, BaseAssemblyId, ComplexAssemblyId, OpOutcome, PartGraph, Sb7Tx, TxR,
 };
-
-use super::visit::Walk;
 
 /// What a T-family traversal does to the atomic parts it reaches.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -55,8 +54,8 @@ pub(crate) fn collect_bases_depth_first<T: Sb7Tx>(tx: &mut T) -> TxR<Vec<BaseAss
     Ok(bases)
 }
 
-/// Depth-first search over one composite part's atomic graph from its
-/// root part, applying `action`. Returns the number of parts visited.
+/// Visits one composite part's atomic graph in its depth-first order from
+/// the root part, applying `action`. Returns the number of parts visited.
 pub(crate) fn traverse_graph<T: Sb7Tx>(
     tx: &mut T,
     graph: &PartGraph,
@@ -67,36 +66,26 @@ pub(crate) fn traverse_graph<T: Sb7Tx>(
         *checksum += tx.atomic(graph.root(), |p| i64::from(p.x) + i64::from(p.y))?;
         return Ok(1);
     }
-    Walk::with(|walk| {
-        walk.begin();
-        walk.stack.push(0);
-        while let Some(local) = walk.stack.pop() {
-            if !walk.insert(local) {
-                continue;
-            }
-            let id = graph.parts[local as usize];
-            *checksum += tx.atomic(id, |p| i64::from(p.x) + i64::from(p.y))?;
-            walk.stack.extend_from_slice(graph.targets(local as usize));
-            let do_update = match action {
-                PartAction::Read | PartAction::ReadRootOnly => None,
-                PartAction::UpdateRoot { indexed, times } => {
-                    (local == 0).then_some((indexed, times))
-                }
-                PartAction::UpdateAll { indexed, times } => Some((indexed, times)),
-            };
-            if let Some((indexed, times)) = do_update {
-                for _ in 0..times {
-                    if indexed {
-                        let date = tx.atomic(id, |p| p.build_date)?;
-                        tx.set_atomic_build_date(id, AtomicPart::next_build_date(date))?;
-                    } else {
-                        tx.atomic_mut(id, |p| p.swap_xy())?;
-                    }
+    for &local in &graph.dfs {
+        let id = graph.parts[local as usize];
+        *checksum += tx.atomic(id, |p| i64::from(p.x) + i64::from(p.y))?;
+        let do_update = match action {
+            PartAction::Read | PartAction::ReadRootOnly => None,
+            PartAction::UpdateRoot { indexed, times } => (local == 0).then_some((indexed, times)),
+            PartAction::UpdateAll { indexed, times } => Some((indexed, times)),
+        };
+        if let Some((indexed, times)) = do_update {
+            for _ in 0..times {
+                if indexed {
+                    let date = tx.atomic(id, |p| p.build_date)?;
+                    tx.set_atomic_build_date(id, AtomicPart::next_build_date(date))?;
+                } else {
+                    tx.atomic_mut(id, |p| p.swap_xy())?;
                 }
             }
         }
-        Ok(walk.visited().len() as i64)
-    })
+    }
+    Ok(graph.dfs.len() as i64)
 }
 
 /// The common T1/T2/T3 skeleton: full tree walk, then every composite
@@ -276,8 +265,92 @@ pub fn q7<T: Sb7Tx>(tx: &mut T) -> TxR<OpOutcome> {
 
 #[cfg(test)]
 mod tests {
+    use std::collections::BTreeSet;
+
     use super::*;
-    use stmbench7_data::{DirectTx, StructureParams, Workspace};
+    use crate::ops::{run_op, OpCtx, OpKind};
+    use stmbench7_data::{AtomicPartId, CompositePartId, DirectTx, StructureParams, Workspace};
+
+    /// The reference: a depth-first search over part ids with a fresh
+    /// set, returning the ids in the order it reaches them.
+    fn reference_order(graph: &PartGraph) -> Vec<AtomicPartId> {
+        let local = |id| graph.parts.iter().position(|&p| p == id).unwrap();
+        let mut seen = BTreeSet::new();
+        let mut order = Vec::new();
+        let mut stack = vec![graph.root()];
+        while let Some(id) = stack.pop() {
+            if seen.insert(id) {
+                order.push(id);
+                stack.extend(graph.connections(local(id)).map(|c| c.to));
+            }
+        }
+        order
+    }
+
+    fn graph_of(ws: &Workspace, comp: u32) -> Arc<PartGraph> {
+        Arc::clone(&ws.composites.store.get(comp).expect("composite").graph)
+    }
+
+    #[test]
+    fn stored_orders_match_a_set_reference_across_presets() {
+        // Tiny's local indexes all lie inside standard's range; each
+        // graph's walk must follow its own order and count.
+        let tiny = Workspace::build(StructureParams::tiny(), 3);
+        let standard = Workspace::build(StructureParams::standard(), 3);
+        let check = |ws: &Workspace, comp: u32| {
+            let graph = graph_of(ws, comp);
+            let stored: Vec<_> = graph.dfs.iter().map(|&l| graph.parts[l as usize]).collect();
+            let reference = reference_order(&graph);
+            assert_eq!(stored, reference, "comp {comp}");
+            let mut tx = DirectTx::reading(ws);
+            let walked = traverse_graph(&mut tx, &graph, PartAction::Read, &mut 0);
+            assert_eq!(walked, Ok(reference.len() as i64), "comp {comp}");
+        };
+        for comp in 1..=12 {
+            for ws in [&tiny, &standard, &tiny] {
+                check(ws, comp);
+            }
+        }
+        check(&standard, 500);
+    }
+
+    #[test]
+    fn t1_counts_parts_created_above_every_id_seen_so_far() {
+        let p = StructureParams::tiny();
+        let mut ws = Workspace::build(p.clone(), 3);
+        let t1 = |ws: &mut Workspace| {
+            let mut ctx = OpCtx::new(ws.params.clone(), 0);
+            run_op(OpKind::T1, &mut DirectTx::writing(ws), &mut ctx).expect("direct T1")
+        };
+        // T1 counts each part once per base-assembly link to its graph.
+        let census = |ws: &Workspace| -> i64 {
+            ws.bases
+                .store
+                .iter()
+                .flat_map(|(_, b)| &b.components)
+                .map(|c| graph_of(ws, c.raw()).parts.len() as i64)
+                .sum()
+        };
+        assert_eq!(t1(&mut ws), OpOutcome::Done(census(&ws)));
+        let seen = ws.atomics.store.iter().map(|(raw, _)| raw).max().unwrap();
+
+        let mut ctx = OpCtx::new(p.clone(), 7);
+        let mut tx = DirectTx::writing(&mut ws);
+        let OpOutcome::Done(comp) = run_op(OpKind::Sm1, &mut tx, &mut ctx).unwrap() else {
+            panic!("SM1 has room on a fresh build");
+        };
+        let comp = CompositePartId(comp as u32);
+        let base = BaseAssemblyId(1);
+        tx.base_mut(base, |b| b.components.push(comp)).unwrap();
+        tx.composite_mut(comp, |c| c.used_in.push(base)).unwrap();
+        let new_parts = graph_of(&ws, comp.raw()).parts.clone();
+        assert!(
+            new_parts.iter().all(|id| id.raw() > seen),
+            "SM1 grew the id range"
+        );
+
+        assert_eq!(t1(&mut ws), OpOutcome::Done(census(&ws)));
+    }
 
     #[test]
     fn collect_bases_visits_every_base_exactly_once() {

@@ -112,12 +112,14 @@ pub fn create_composite_with_graph<T: Sb7Tx>(
         part_ids.push(id);
     }
     let conns = params.conns_per_atomic;
-    let mut graph = PartGraph::with_parts(part_ids, n * conns);
-    for i in 0..n {
-        // Each connection draws its kind, then its length, then (past the
-        // ring edge) its target. The ring edge keeps the whole graph
-        // reachable from the root, local index 0.
-        graph.push_part_edges((0..conns).map(|c| {
+    // Each connection draws its kind, then its length, then (past the
+    // ring edge) its target. The ring edge keeps the whole graph
+    // reachable from the root, local index 0.
+    let edges = (0..n).flat_map(|i| (0..conns).map(move |c| (i, c)));
+    let graph = PartGraph::new(
+        part_ids,
+        conns,
+        edges.map(|(i, c)| {
             let kind = rng.gen_range(0..CONNECTION_TYPES.len() as u8);
             let length = rng.gen_range(1..1_000);
             let to = if c == 0 {
@@ -126,8 +128,8 @@ pub fn create_composite_with_graph<T: Sb7Tx>(
                 rng.gen_range(0..n)
             };
             (kind, length, to as u32)
-        }));
-    }
+        }),
+    );
 
     let graph = Arc::new(graph);
     tx.composite_mut(comp_id, |c| {

@@ -14,6 +14,13 @@
 //! graph instead of copying it, and locking and STM granularity stay what
 //! the paper prescribes: connections never change, so no lock or
 //! transactional variable ever needs to cover them.
+//!
+//! Because they never change, neither does the order in which a
+//! depth-first search from the root part reaches the parts. The graph's
+//! one constructor, [`PartGraph::new`], computes that visit order once and
+//! stores it beside the edges, so T1–T3, T6 and ST9/ST10 iterate a list
+//! instead of re-running the search with a visited set and a stack on
+//! every visit of the graph.
 
 use std::sync::Arc;
 
@@ -47,9 +54,10 @@ pub struct Connection {
 /// [`PartGraph::parts`]; local index 0 is the root part. Part `i`'s
 /// connections are edges `offsets[i]..offsets[i + 1]`, in the order the
 /// builder drew them, and edge `e` leads to local index `targets[e]` with
-/// connection type `kinds[e]` and length `lengths[e]`. [`crate::validate()`]
-/// checks the shape; the fields are public, like every object's, so that
-/// tests can corrupt it.
+/// connection type `kinds[e]` and length `lengths[e]`. [`PartGraph::dfs`]
+/// is the depth-first visit order of those edges. [`crate::validate()`]
+/// checks the shape and the order; the fields are public, like every
+/// object's, so that tests can corrupt them.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct PartGraph {
     /// All atomic parts of the graph (OO7 keeps this set so ST1 can pick a
@@ -63,31 +71,64 @@ pub struct PartGraph {
     pub kinds: Vec<u8>,
     /// Each edge's OO7 "length" attribute.
     pub lengths: Vec<i32>,
+    /// The local indexes of the parts reachable from the root, in the
+    /// order a depth-first search from the root reaches them: the root
+    /// first, a part marked when it is popped, its targets pushed in
+    /// connection order and popped last-in first-out.
+    pub dfs: Vec<u32>,
 }
 
 impl PartGraph {
-    /// An edgeless graph over `parts`, ready for [`PartGraph::push_part_edges`].
-    pub fn with_parts(parts: Vec<AtomicPartId>, edges: usize) -> Self {
-        let mut offsets = Vec::with_capacity(parts.len() + 1);
-        offsets.push(0);
-        PartGraph {
+    /// The graph over `parts` in which every part has `degree`
+    /// connections: `edges` yields them as `(kind, length, target local
+    /// index)`, part by part, each part's in connection order. Computes
+    /// the visit order [`PartGraph::dfs`].
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `edges` yields `degree` connections per part, and on
+    /// a target outside the graph that the search reaches.
+    pub fn new(
+        parts: Vec<AtomicPartId>,
+        degree: usize,
+        edges: impl IntoIterator<Item = (u8, i32, u32)>,
+    ) -> Self {
+        let count = parts.len() * degree;
+        let mut graph = PartGraph {
+            offsets: (0..=parts.len()).map(|i| (i * degree) as u32).collect(),
             parts,
-            offsets,
-            targets: Vec::with_capacity(edges),
-            kinds: Vec::with_capacity(edges),
-            lengths: Vec::with_capacity(edges),
+            targets: Vec::with_capacity(count),
+            kinds: Vec::with_capacity(count),
+            lengths: Vec::with_capacity(count),
+            dfs: Vec::new(),
+        };
+        for (kind, length, to) in edges {
+            graph.kinds.push(kind);
+            graph.lengths.push(length);
+            graph.targets.push(to);
         }
+        assert_eq!(graph.targets.len(), count, "{degree} edges per part");
+        graph.dfs = graph.depth_first();
+        graph
     }
 
-    /// Appends the next part's connections, given as `(kind, length,
-    /// target local index)` in connection order.
-    pub fn push_part_edges(&mut self, edges: impl IntoIterator<Item = (u8, i32, u32)>) {
-        for (kind, length, to) in edges {
-            self.kinds.push(kind);
-            self.lengths.push(length);
-            self.targets.push(to);
+    /// Runs the depth-first search [`PartGraph::dfs`] stores over the
+    /// edges as they stand; empty for a graph without parts.
+    pub(crate) fn depth_first(&self) -> Vec<u32> {
+        let mut marked = vec![false; self.parts.len()];
+        let mut order = Vec::with_capacity(self.parts.len());
+        // Each edge is pushed at most once, after the root.
+        let mut stack = Vec::with_capacity(self.targets.len() + 1);
+        if !self.parts.is_empty() {
+            stack.push(0);
         }
-        self.offsets.push(self.targets.len() as u32);
+        while let Some(local) = stack.pop() {
+            if !std::mem::replace(&mut marked[local as usize], true) {
+                order.push(local);
+                stack.extend_from_slice(self.targets(local as usize));
+            }
+        }
+        order
     }
 
     /// The root part, entry point of the traversals.

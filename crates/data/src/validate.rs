@@ -253,20 +253,19 @@ pub fn validate(ws: &Workspace) -> Result<Census, String> {
         atomic_total += n;
         // The graph must be reachable from the root part, local index 0
         // (the builder's ring guarantees it; no operation rewires
-        // connections).
-        let mut visited = vec![false; n];
-        let mut reached = 0;
-        let mut dfs = vec![0u32];
-        while let Some(local) = dfs.pop() {
-            if std::mem::replace(&mut visited[local as usize], true) {
-                continue;
-            }
-            reached += 1;
-            dfs.extend_from_slice(graph.targets(local as usize));
-        }
+        // connections), and the stored visit order must be the one its
+        // edges give.
+        let order = graph.depth_first();
         ensure!(
-            reached == n,
-            "composite {raw}: only {reached} of {n} parts reachable from root part"
+            order.len() == n,
+            "composite {raw}: only {} of {n} parts reachable from root part",
+            order.len()
+        );
+        ensure!(
+            graph.dfs == order,
+            "composite {raw}: stored visit order ({} entries) is not the \
+             depth-first order of its edges",
+            graph.dfs.len()
         );
     }
     ensure!(

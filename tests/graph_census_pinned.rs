@@ -9,8 +9,17 @@
 //! `(to, kind, length)` in connection order — for fresh builds of three
 //! presets at three seeds, and compares it with constants recorded before
 //! the connection storage last changed.
+//!
+//! It pins each graph's depth-first visit order the same way: the order
+//! in which T1–T3, T6 and ST9/ST10 open the parts. A reference search
+//! written here computes the order of every graph of three fresh builds
+//! and of the graphs SM1 creates during a fixed stream; the digests of
+//! those orders were recorded before the visit order was first stored,
+//! and every graph's stored order (`PartGraph::dfs`) must equal its
+//! reference order.
 
-use stmbench7::data::{StructureParams, Workspace};
+use stmbench7::core::ops::{run_op, OpCtx, OpKind};
+use stmbench7::data::{DirectTx, OpOutcome, PartGraph, StructureParams, Workspace};
 
 /// One pinned build: preset, seed, graph digest and connection count.
 type Pinned = (&'static str, u64, u64, usize);
@@ -88,6 +97,98 @@ fn initial_graphs_match_the_pinned_digests() {
         "{} of {} builds differ from their pins; actual:\n{}",
         mismatches.len(),
         PINNED.len(),
+        mismatches.join("\n")
+    );
+}
+
+/// One pinned set of visit orders: preset, digest of every graph's
+/// depth-first visit order and the number of graphs. Builds use seed 1;
+/// `"small+sm1"` is the graphs SM1 creates on a fresh `small` build, one
+/// call per context seed in `SM1_SEEDS`.
+const PINNED_ORDERS: &[(&str, u64, usize)] = &[
+    ("tiny", 0x04f085c0b6e0d5c1, 12),
+    ("small", 0xae7c8e0db00fdca6, 60),
+    ("standard", 0xc093bc6254bc4819, 500),
+    ("small+sm1", 0xeb870872652139cd, 18),
+];
+
+/// The context seeds of the SM1 calls behind `"small+sm1"`.
+const SM1_SEEDS: std::ops::Range<u64> = 100..120;
+
+/// The reference search, independent of the library's: depth first from
+/// local index 0 with a fresh visited set; a part is marked when it is
+/// popped, and its targets are pushed in connection order, so they are
+/// popped last-in first-out. Returns the local indexes in marking order.
+fn reference_order(graph: &PartGraph) -> Vec<u32> {
+    let mut marked = vec![false; graph.parts.len()];
+    let mut order = Vec::new();
+    let mut stack = vec![0u32];
+    while let Some(local) = stack.pop() {
+        if !std::mem::replace(&mut marked[local as usize], true) {
+            order.push(local);
+            stack.extend_from_slice(graph.targets(local as usize));
+        }
+    }
+    order
+}
+
+/// The digest of the graphs' visit orders, as part ids, and the graph
+/// count. Checks that each graph stores its reference order.
+fn order_digest<'a>(graphs: impl Iterator<Item = (u32, &'a PartGraph)>) -> (u64, usize) {
+    let mut digest = Fnv::new();
+    let mut count = 0;
+    for (raw, graph) in graphs {
+        let order = reference_order(graph);
+        assert_eq!(graph.dfs, order, "composite {raw}: stored visit order");
+        digest.bytes(&raw.to_le_bytes());
+        digest.bytes(&(order.len() as u32).to_le_bytes());
+        for &local in &order {
+            digest.bytes(&graph.parts[local as usize].raw().to_le_bytes());
+        }
+        count += 1;
+    }
+    (digest.0, count)
+}
+
+/// The visit-order digest of one entry of [`PINNED_ORDERS`].
+fn orders(name: &str) -> (u64, usize) {
+    let (preset, sm1) = match name.strip_suffix("+sm1") {
+        Some(preset) => (preset, true),
+        None => (name, false),
+    };
+    let params = StructureParams::parse(preset).expect("preset");
+    let mut ws = Workspace::build(params.clone(), 1);
+    if !sm1 {
+        return order_digest(ws.composites.store.iter().map(|(raw, c)| (raw, &*c.graph)));
+    }
+    let mut created = Vec::new();
+    for seed in SM1_SEEDS {
+        let mut ctx = OpCtx::new(params.clone(), seed);
+        let outcome = run_op(OpKind::Sm1, &mut DirectTx::writing(&mut ws), &mut ctx);
+        if let OpOutcome::Done(raw) = outcome.expect("SM1 on DirectTx") {
+            created.push(raw as u32);
+        }
+    }
+    order_digest(created.iter().map(|&raw| {
+        let comp = ws.composites.store.get(raw).expect("created composite");
+        (raw, &*comp.graph)
+    }))
+}
+
+#[test]
+fn visit_orders_match_the_pinned_digests() {
+    let mut mismatches = Vec::new();
+    for &(name, digest, graphs) in PINNED_ORDERS {
+        let got = orders(name);
+        if got != (digest, graphs) {
+            mismatches.push(format!("(\"{name}\", {:#018x}, {}),", got.0, got.1));
+        }
+    }
+    assert!(
+        mismatches.is_empty(),
+        "{} of {} visit-order digests differ from their pins; actual:\n{}",
+        mismatches.len(),
+        PINNED_ORDERS.len(),
         mismatches.join("\n")
     );
 }

@@ -9,7 +9,7 @@
 use std::sync::Arc;
 
 use stmbench7::data::objects::AssemblyChildren;
-use stmbench7::data::{validate, StructureParams, Workspace};
+use stmbench7::data::{validate, PartGraph, StructureParams, Workspace};
 
 fn fresh() -> Workspace {
     Workspace::build(StructureParams::tiny(), 17)
@@ -229,4 +229,50 @@ fn detects_duplicate_parts_entry() {
     // List the root part a second time, in place of part 1.
     Arc::make_mut(&mut ws.composites.store.get_mut(comp_raw).unwrap().graph).parts[1] = part;
     assert_rejects(&ws, "duplicates");
+}
+
+/// Applies `corrupt` to the first composite's graph and asserts that the
+/// validator rejects the stored visit order.
+fn assert_rejects_visit_order(corrupt: impl FnOnce(&mut PartGraph)) {
+    let mut ws = fresh();
+    let raw = ws.composites.store.iter().next().unwrap().0;
+    corrupt(Arc::make_mut(
+        &mut ws.composites.store.get_mut(raw).unwrap().graph,
+    ));
+    assert_rejects(&ws, "stored visit order");
+}
+
+#[test]
+fn detects_swapped_visit_order_entries() {
+    // The root no longer comes first.
+    assert_rejects_visit_order(|graph| graph.dfs.swap(0, 1));
+}
+
+#[test]
+fn detects_truncated_visit_order() {
+    assert_rejects_visit_order(|graph| {
+        graph.dfs.pop();
+    });
+}
+
+#[test]
+fn detects_repeated_visit_order_entry() {
+    assert_rejects_visit_order(|graph| {
+        let last = graph.dfs.len() - 1;
+        graph.dfs[last] = graph.dfs[1];
+    });
+}
+
+#[test]
+fn detects_targets_changed_under_a_stored_order() {
+    // Re-aim the root's last connection, the first one the search pops,
+    // at a part other than the one the stored order visits second. The
+    // ring edges stay, so every part is still reachable, but the search
+    // now reaches that other part second.
+    assert_rejects_visit_order(|graph| {
+        let last = graph.offsets[1] as usize - 1;
+        assert!(last > 0, "the root's last edge is not its ring edge");
+        let n = graph.parts.len() as u32;
+        graph.targets[last] = (1..n).find(|&t| t != graph.dfs[1]).unwrap();
+    });
 }
