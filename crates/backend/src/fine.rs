@@ -79,6 +79,7 @@ use parking_lot::{RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 use stmbench7_data::access::PoolKind;
 use stmbench7_data::btree::BTree;
+use stmbench7_data::dates::check_date;
 use stmbench7_data::sharded::{merge_date_entries, ShardMap, ShardedIndex};
 use stmbench7_data::spec::AccessSpec;
 use stmbench7_data::text;
@@ -87,8 +88,8 @@ use stmbench7_data::workspace::{
 };
 use stmbench7_data::{
     AtomicPart, AtomicPartId, BaseAssembly, BaseAssemblyId, ComplexAssembly, ComplexAssemblyId,
-    CompositePart, CompositePartId, Document, DocumentId, Manual, Module, Sb7Tx, StructureParams,
-    TxErr, TxR,
+    CompositePart, CompositePartId, DateIndex, Document, DocumentId, Manual, Module, Sb7Tx,
+    StructureParams, TxErr, TxR,
 };
 
 use crate::{Backend, TxOperation};
@@ -107,9 +108,6 @@ const UNPLANNED: TxErr = TxErr::Abort;
 /// The same after the attempt has written: retrying would apply its
 /// writes twice.
 const STALE_AFTER_WRITE: TxErr = TxErr::Invariant("plan went stale after a write");
-
-/// One shard of index 2: (build date, part id) entries.
-type DateIndex = BTree<(i32, u32), ()>;
 
 // ---------------------------------------------------------------------------
 // Lock identities and plans
@@ -236,6 +234,8 @@ struct FineWorld {
     by_date: Vec<RwLock<DateIndex>>,
     /// Routes a part id to its `by_date` shard.
     date_map: ShardMap,
+    /// The dates `by_date` accepts, readable without its locks.
+    date_domain: std::ops::RangeInclusive<i32>,
 }
 
 impl FineWorld {
@@ -271,7 +271,7 @@ impl FineWorld {
 /// Appends `index`'s entries dated within `[lo, hi]` to `out`.
 #[inline]
 fn collect_range(index: &DateIndex, lo: i32, hi: i32, out: &mut Vec<(i32, u32)>) {
-    index.for_range(&(lo, 0), &(hi, u32::MAX), |k, _| out.push(*k));
+    index.for_range(lo, hi, |date, raw| out.push((date, raw)));
 }
 
 /// Counters describing how the fine-grained strategy behaved.
@@ -383,14 +383,9 @@ impl FineBackend {
                 atomic_owner,
                 doc_owner,
                 by_title: ws.documents.by_title,
-                date_map: ShardMap::new(ws.atomics.by_date.shard_count()),
-                by_date: ws
-                    .atomics
-                    .by_date
-                    .into_shards()
-                    .into_iter()
-                    .map(RwLock::new)
-                    .collect(),
+                date_map: ws.atomics.shard_map(),
+                date_domain: ws.params.date_domain(),
+                by_date: ws.atomics.by_date.into_iter().map(RwLock::new).collect(),
             }),
             params: ws.params,
             counters: FineCounters::default(),
@@ -514,17 +509,7 @@ impl Backend for FineBackend {
             store: Store::new(self.params.max_comps()),
             by_id: world.composite_ids.clone(),
         };
-        let mut atomics = AtomicGroup {
-            store: Store::new(self.params.max_atomics()),
-            by_id: ShardedIndex::new(self.params.effective_shards()),
-            by_date: ShardedIndex::from_shards(
-                world
-                    .by_date
-                    .iter_mut()
-                    .map(|lock| lock.get_mut().clone())
-                    .collect(),
-            ),
-        };
+        let mut atomics = Store::new(self.params.max_atomics());
         let mut documents = DocGroup {
             store: Store::new(self.params.max_comps()),
             by_title: world.by_title.clone(),
@@ -538,12 +523,13 @@ impl Backend for FineBackend {
                 documents.store.insert(doc.id.raw(), doc.clone());
             }
             for (praw, part) in &cell.parts {
-                atomics.by_id.insert(*praw, ());
-                atomics.store.insert(*praw, part.clone());
+                atomics.insert(*praw, part.clone());
             }
         }
         ws.composites = composites;
-        ws.atomics = atomics;
+        let by_date = world.by_date.iter_mut();
+        ws.atomics =
+            AtomicGroup::from_parts(atomics, by_date.map(|l| l.get_mut().clone()).collect());
         ws.documents = documents;
         ws
     }
@@ -704,6 +690,7 @@ impl<U: FineUnits> Sb7Tx for FineTx<U> {
     fn set_atomic_build_date(&mut self, id: AtomicPartId, date: i32) -> TxR<()> {
         // The date index entry moves together with the attribute.
         let raw = id.raw();
+        check_date(&self.0.world().date_domain, date)?;
         let owner = self.0.world().owner_of_atomic(raw)?;
         let old = self
             .0
@@ -744,11 +731,15 @@ impl<U: FineUnits> Sb7Tx for FineTx<U> {
         self.0.scan_dates(lo, hi)
     }
 
-    fn all_atomic_ids(&mut self) -> TxR<Vec<AtomicPartId>> {
-        let mut out = Vec::new();
+    fn for_each_atomic(&mut self, mut f: impl FnMut(&AtomicPart)) -> TxR<usize> {
+        // Index 1 is the owner table: its keys, then one open per part.
+        let mut ids = Vec::new();
         let owners = &self.0.world().atomic_owner;
-        owners.for_each(|raw, _| out.push(AtomicPartId(*raw)));
-        Ok(out)
+        owners.for_each(|raw, _| ids.push(AtomicPartId(*raw)));
+        for &id in &ids {
+            self.atomic(id, &mut f)?;
+        }
+        Ok(ids.len())
     }
 
     fn all_base_ids(&mut self) -> TxR<Vec<BaseAssemblyId>> {
@@ -768,17 +759,21 @@ impl<U: FineUnits> Sb7Tx for FineTx<U> {
         make: impl FnOnce(AtomicPartId) -> AtomicPart,
     ) -> TxR<Option<AtomicPartId>> {
         let world = self.0.world_mut()?;
-        let Some(raw) = world.sm.pools.atomic.alloc() else {
+        // Build and check the part before allocating its id, so that a
+        // refused date changes nothing.
+        let Some(raw) = world.sm.pools.atomic.peek() else {
             return Ok(None);
         };
         let id = AtomicPartId(raw);
         let part = make(id);
         debug_assert_eq!(part.id, id);
+        check_date(&world.date_domain, part.build_date)?;
+        let allocated = world.sm.pools.atomic.alloc();
+        debug_assert_eq!(allocated, Some(raw));
         let owner = part.owner.raw();
         let shard = world.date_map.shard(raw);
-        world.by_date[shard]
-            .get_mut()
-            .insert((part.build_date, raw), ());
+        let fresh = world.by_date[shard].get_mut().insert(part.build_date, raw);
+        debug_assert_eq!(fresh, Ok(true), "date entry of new part {raw}");
         world.atomic_owner.insert(raw, owner);
         let cell = world
             .cell_mut(owner)
@@ -886,9 +881,7 @@ impl<U: FineUnits> Sb7Tx for FineTx<U> {
             .remove(&raw)
             .expect("owner table and cell agree");
         let shard = world.date_map.shard(raw);
-        world.by_date[shard]
-            .get_mut()
-            .remove(&(part.build_date, raw));
+        world.by_date[shard].get_mut().remove(part.build_date, raw);
         assert!(world.sm.pools.atomic.free(raw), "pool drift");
         world.gc_cell(owner);
         Ok(part)
@@ -1310,9 +1303,7 @@ impl FineUnits for ExecTx<'_> {
     fn move_date(&mut self, raw: u32, old: i32, new: i32) -> TxR<()> {
         let shard = self.world.date_map.shard(raw);
         let index = write_held(&mut self.wrote, self.date[shard].as_mut())?;
-        index.remove(&(old, raw));
-        index.insert((new, raw), ());
-        Ok(())
+        index.move_entry(raw, old, new)
     }
 
     fn scan_dates(&mut self, lo: i32, hi: i32) -> TxR<Vec<AtomicPartId>> {
@@ -1423,10 +1414,9 @@ impl FineUnits for FullTx<'_> {
     #[inline]
     fn move_date(&mut self, raw: u32, old: i32, new: i32) -> TxR<()> {
         let shard = self.world.date_map.shard(raw);
-        let index = self.world.by_date[shard].get_mut();
-        index.remove(&(old, raw));
-        index.insert((new, raw), ());
-        Ok(())
+        self.world.by_date[shard]
+            .get_mut()
+            .move_entry(raw, old, new)
     }
 
     fn scan_dates(&mut self, lo: i32, hi: i32) -> TxR<Vec<AtomicPartId>> {

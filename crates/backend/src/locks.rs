@@ -12,8 +12,9 @@
 //!   for SM1–SM8, read mode for everything else). The atomic-part group —
 //!   the contention hot spot §5 diagnoses — is split into
 //!   `StructureParams::index_shards` lock shards ([`AtomicLockShard`]):
-//!   each shard owns the parts whose raw id routes to it *and* that
-//!   shard's slices of indexes 1 and 2, so an operation whose
+//!   each shard owns the parts whose raw id routes to it, in a dense slot
+//!   store that is its slice of index 1, *and* its slice of index 2 (a
+//!   [`DateIndex`]), so an operation whose
 //!   [`AccessSpec::atomic_shards`] is narrowed (the OP1/OP9/OP15 family)
 //!   locks only the shards it touches. Locks are always acquired in one
 //!   canonical order — gate, levels top-down, composites, atomic shards
@@ -26,14 +27,13 @@ use parking_lot::{Mutex, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 use stmbench7_obs::{ContentionCounters, ContentionSnapshot, EventKind, Layer, Recorder};
 
-use stmbench7_data::btree::BTree;
 use stmbench7_data::sharded::{ShardMap, MAX_SHARDS};
 use stmbench7_data::spec::{AccessSpec, Mode, MAX_LEVELS};
 use stmbench7_data::workspace::{
     AtomicGroup, AtomicSlice, BaseGroup, ComplexLevelGroup, CompositeGroup, DirectTx, DocGroup,
     LockGroups, SmState, Store, Workspace,
 };
-use stmbench7_data::{AtomicPart, Manual, Module, StructureParams, TxErr, TxR};
+use stmbench7_data::{AtomicPart, DateIndex, Manual, Module, StructureParams, TxErr, TxR};
 
 use crate::{Backend, TxOperation};
 
@@ -211,26 +211,19 @@ pub(crate) fn unwrap_lock_result<R>(r: TxR<R>) -> R {
 }
 
 /// One lock shard of the atomic-part group: the parts whose raw id routes
-/// here (stored densely at `raw / shards`) plus this shard's slices of
-/// index 1 (id) and index 2 (build date — whose `(date, id)` entries
-/// route by id, so a date update touches exactly one shard).
+/// here, stored densely at `raw / shards` (the store is this shard's slice
+/// of index 1: a part is indexed exactly when its slot is occupied), and
+/// this shard's slice of index 2, whose `(date, id)` entries route by id,
+/// so a date update touches exactly one shard.
 pub struct AtomicLockShard {
     map: ShardMap,
     store: Store<AtomicPart>,
-    by_id: BTree<u32, ()>,
-    by_date: BTree<(i32, u32), ()>,
+    by_date: DateIndex,
 }
 
 impl AtomicLockShard {
     fn local(&self, raw: u32) -> u32 {
         self.map.local(raw)
-    }
-
-    /// Fills the store during construction, when the index slices are
-    /// already populated (they arrive pre-split from the workspace).
-    fn create_store_only(&mut self, raw: u32, p: AtomicPart) {
-        let local = self.local(raw);
-        self.store.insert(local, p);
     }
 }
 
@@ -246,10 +239,15 @@ impl AtomicSlice for AtomicLockShard {
         self.store.get_mut(local)
     }
 
+    #[inline]
+    fn check_date(&self, date: i32) -> TxR<()> {
+        self.by_date.check(date)
+    }
+
     fn create(&mut self, p: AtomicPart) {
         let raw = p.id.raw();
-        self.by_id.insert(raw, ());
-        self.by_date.insert((p.build_date, raw), ());
+        let fresh = self.by_date.insert(p.build_date, raw);
+        assert_eq!(fresh, Ok(true), "date entry of new part {raw}");
         let local = self.local(raw);
         self.store.insert(local, p);
     }
@@ -257,35 +255,27 @@ impl AtomicSlice for AtomicLockShard {
     fn delete(&mut self, raw: u32) -> Option<AtomicPart> {
         let local = self.local(raw);
         let p = self.store.remove(local)?;
-        self.by_id.remove(&raw);
-        self.by_date.remove(&(p.build_date, raw));
+        self.by_date.remove(p.build_date, raw);
         Some(p)
     }
 
-    fn set_date(&mut self, raw: u32, date: i32) -> bool {
+    fn set_date(&mut self, raw: u32, date: i32) -> TxR<()> {
+        self.by_date.check(date)?;
         let local = self.local(raw);
-        let Some(p) = self.store.get_mut(local) else {
-            return false;
-        };
-        let old = p.build_date;
-        p.build_date = date;
-        self.by_date.remove(&(old, raw));
-        self.by_date.insert((date, raw), ());
-        true
-    }
-
-    #[inline]
-    fn contains(&self, raw: u32) -> bool {
-        self.by_id.contains(&raw)
+        let p = self
+            .store
+            .get_mut(local)
+            .ok_or(TxErr::Invariant("object not found"))?;
+        let old = std::mem::replace(&mut p.build_date, date);
+        self.by_date.move_entry(raw, old, date)
     }
 
     fn for_date_range(&self, lo: i32, hi: i32, mut f: impl FnMut((i32, u32))) {
-        self.by_date
-            .for_range(&(lo, 0), &(hi, u32::MAX), |k, _| f(*k));
+        self.by_date.for_range(lo, hi, |date, raw| f((date, raw)));
     }
 
-    fn for_each_id(&self, mut f: impl FnMut(u32)) {
-        self.by_id.for_each(|raw, _| f(*raw));
+    fn for_each_part(&self, mut f: impl FnMut(&AtomicPart)) {
+        self.store.iter().for_each(|(_, p)| f(p));
     }
 }
 
@@ -310,23 +300,21 @@ impl MediumBackend {
     /// Partitions a built workspace along the Figure 5 lock groups,
     /// splitting the atomic-part group `params.index_shards` ways.
     pub fn new(ws: Workspace) -> Self {
-        let shards = ws.params.effective_shards();
-        let map = ShardMap::new(shards);
+        // The date shards move over whole; only the parts are re-slotted.
+        let map = ws.atomics.shard_map();
         let local_max = map.local(ws.params.max_atomics());
-        let by_id_shards = ws.atomics.by_id.into_shards();
-        let by_date_shards = ws.atomics.by_date.into_shards();
-        let mut atomics: Vec<AtomicLockShard> = by_id_shards
+        let mut atomics: Vec<AtomicLockShard> = ws
+            .atomics
+            .by_date
             .into_iter()
-            .zip(by_date_shards)
-            .map(|(by_id, by_date)| AtomicLockShard {
+            .map(|by_date| AtomicLockShard {
                 map,
                 store: Store::new(local_max),
-                by_id,
                 by_date,
             })
             .collect();
         for (raw, part) in ws.atomics.store.into_entries() {
-            atomics[map.shard(raw)].create_store_only(raw, part);
+            atomics[map.shard(raw)].store.insert(map.local(raw), part);
         }
         MediumBackend {
             params: ws.params,
@@ -430,14 +418,16 @@ impl Backend for MediumBackend {
     }
 
     fn export(&self) -> Workspace {
-        let mut atomics =
-            AtomicGroup::new(self.params.max_atomics(), self.params.effective_shards());
+        let mut store = Store::new(self.params.max_atomics());
+        let mut by_date = Vec::with_capacity(self.atomics.len());
         for shard in &self.atomics {
             let shard = shard.read();
             for (_, part) in shard.store.iter() {
-                atomics.create(part.clone());
+                store.insert(part.id.raw(), part.clone());
             }
+            by_date.push(shard.by_date.clone());
         }
+        let atomics = AtomicGroup::from_parts(store, by_date);
         Workspace {
             params: self.params.clone(),
             module: self.module.clone(),
@@ -711,12 +701,14 @@ mod tests {
 
     #[test]
     fn export_round_trips() {
-        let ws = Workspace::build(StructureParams::tiny(), 9);
-        let medium = MediumBackend::new(ws.clone());
-        let out = medium.export();
-        stmbench7_data::validate(&out).unwrap();
-        assert_eq!(out.module.design_root, ws.module.design_root);
-        assert_eq!(out.atomics.store.live(), ws.atomics.store.live());
+        for shards in [1, 8] {
+            let ws = Workspace::build(StructureParams::tiny().with_shards(shards), 9);
+            let medium = MediumBackend::new(ws.clone());
+            let out = medium.export();
+            stmbench7_data::validate(&out).unwrap();
+            structural_diff(&out, &ws).unwrap();
+            assert_eq!(out.atomics.by_date, ws.atomics.by_date, "{shards} shards");
+        }
     }
 
     #[test]
@@ -728,13 +720,8 @@ mod tests {
         let out = MediumBackend::new(ws).export();
         stmbench7_data::validate(&out).unwrap();
         assert_eq!(out.atomics.store.live(), mono.atomics.store.live());
-        assert_eq!(out.atomics.by_id.len(), mono.atomics.by_id.len());
-        let collect = |ws: &Workspace| {
-            let mut v = Vec::new();
-            ws.atomics.by_date.for_each(|k, _| v.push(*k));
-            v
-        };
-        assert_eq!(collect(&out), collect(&mono));
+        assert_eq!(out.atomics.by_date.len(), 8);
+        assert_eq!(out.atomics.date_entries(), mono.atomics.date_entries());
     }
 
     #[test]

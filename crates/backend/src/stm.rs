@@ -37,6 +37,7 @@ use stmbench7_obs::{EventKind, Layer, Recorder};
 
 use stmbench7_data::access::PoolKind;
 use stmbench7_data::btree::BTree;
+use stmbench7_data::dates::check_date;
 use stmbench7_data::sharded::{shard_of_str, ShardKey, ShardMap, ShardedIndex};
 use stmbench7_data::spec::AccessSpec;
 use stmbench7_data::workspace::{
@@ -177,28 +178,29 @@ enum TxIndex<RT: StmRuntime, K: IndexKey, V: TxVal> {
 }
 
 impl<RT: StmRuntime, K: IndexKey, V: TxVal> TxIndex<RT, K, V> {
+    /// The index of `entries`, which come in key order.
     fn build(
         rt: &RT,
         granularity: Granularity,
         params: &StructureParams,
-        entries: &ShardedIndex<K, V>,
+        entries: impl IntoIterator<Item = (K, V)>,
     ) -> Self {
         match granularity {
             Granularity::Monolithic => {
                 let mut tree = BTree::new();
-                entries.for_each(|k, v| {
-                    tree.insert(k.clone(), v.clone());
-                });
+                for (k, v) in entries {
+                    tree.insert(k, v);
+                }
                 TxIndex::Mono(rt.new_var(tree))
             }
             Granularity::Sharded => {
-                // `for_each` visits in key order, so every bucket is born
+                // Entries come in key order, so every bucket is born
                 // sorted.
                 let (route, buckets) = K::route(params);
                 let mut split: Vec<Vec<(K, V)>> = vec![Vec::new(); buckets];
-                entries.for_each(|k, v| {
-                    split[K::bucket(&route, k.borrow())].push((k.clone(), v.clone()));
-                });
+                for (k, v) in entries {
+                    split[K::bucket(&route, k.borrow())].push((k, v));
+                }
                 TxIndex::Sharded(route, split.into_iter().map(|b| rt.new_var(b)).collect())
             }
         }
@@ -250,20 +252,24 @@ impl<RT: StmRuntime, K: IndexKey, V: TxVal> TxIndex<RT, K, V> {
         }
     }
 
-    /// The committed entries, as the workspace index with `shards` shards.
-    fn quiesced(&self, rt: &RT, shards: usize) -> ShardedIndex<K, V> {
-        let mut out = ShardedIndex::new(shards);
-        let mut put = |k: &K, v: &V| {
-            out.insert(k.clone(), v.clone());
-        };
+    /// Visits the committed entries, in key order within each bucket.
+    fn for_each_quiesced(&self, rt: &RT, mut f: impl FnMut(&K, &V)) {
         match self {
-            TxIndex::Mono(var) => rt.read_quiesced(var).for_each(put),
+            TxIndex::Mono(var) => rt.read_quiesced(var).for_each(f),
             TxIndex::Sharded(_, buckets) => {
                 for b in buckets {
-                    rt.read_quiesced(b).iter().for_each(|(k, v)| put(k, v));
+                    rt.read_quiesced(b).iter().for_each(|(k, v)| f(k, v));
                 }
             }
         }
+    }
+
+    /// The committed entries, as the workspace index with `shards` shards.
+    fn quiesced(&self, rt: &RT, shards: usize) -> ShardedIndex<K, V> {
+        let mut out = ShardedIndex::new(shards);
+        self.for_each_quiesced(rt, |k, v| {
+            out.insert(k.clone(), v.clone());
+        });
         out
     }
 }
@@ -443,12 +449,27 @@ impl<RT: StmRuntime + RtName> StmBackend<RT> {
             bases: store_to_vars(&rt, &ws.bases.store, params.max_bases()),
             complexes: store_to_vars(&rt, &complex_store, params.max_complexes()),
             documents: store_to_vars(&rt, &ws.documents.store, params.max_comps()),
-            atomic_ids: TxIndex::build(&rt, granularity, &params, &ws.atomics.by_id),
-            atomic_dates: TxIndex::build(&rt, granularity, &params, &ws.atomics.by_date),
-            composite_ids: TxIndex::build(&rt, granularity, &params, &ws.composites.by_id),
-            doc_titles: TxIndex::build(&rt, granularity, &params, &ws.documents.by_title),
-            base_ids: TxIndex::build(&rt, granularity, &params, &ws.bases.by_id),
-            complex_levels: TxIndex::build(&rt, granularity, &params, &ws.sm.complex_index),
+            atomic_ids: TxIndex::build(
+                &rt,
+                granularity,
+                &params,
+                ws.atomics.store.iter().map(|(raw, _)| (raw, ())),
+            ),
+            atomic_dates: TxIndex::build(
+                &rt,
+                granularity,
+                &params,
+                ws.atomics.date_entries().into_iter().map(|k| (k, ())),
+            ),
+            composite_ids: TxIndex::build(&rt, granularity, &params, ws.composites.by_id.entries()),
+            doc_titles: TxIndex::build(&rt, granularity, &params, ws.documents.by_title.entries()),
+            base_ids: TxIndex::build(&rt, granularity, &params, ws.bases.by_id.entries()),
+            complex_levels: TxIndex::build(
+                &rt,
+                granularity,
+                &params,
+                ws.sm.complex_index.entries(),
+            ),
             rt,
             recorder: Recorder::default(),
         }
@@ -559,11 +580,26 @@ impl<RT: StmRuntime + RtName> Backend for StmBackend<RT> {
             store: vars_to_store(rt, &self.composites),
             by_id: self.composite_ids.quiesced(rt, shards),
         };
-        ws.atomics = AtomicGroup {
-            store: vars_to_store(rt, &self.atomics),
-            by_id: self.atomic_ids.quiesced(rt, shards),
-            by_date: self.atomic_dates.quiesced(rt, shards),
-        };
+        // Index 1 is the store in the workspace: the transactional id
+        // index must name exactly the occupied cells.
+        let mut atomics = AtomicGroup::new(&self.params);
+        atomics.store = vars_to_store(rt, &self.atomics);
+        let mut ids = Vec::with_capacity(atomics.store.live());
+        self.atomic_ids
+            .for_each_quiesced(rt, |&raw, ()| ids.push(raw));
+        ids.sort_unstable();
+        assert!(
+            ids.iter()
+                .copied()
+                .eq(atomics.store.iter().map(|(raw, _)| raw)),
+            "STM index 1 disagrees with the atomic-part cells"
+        );
+        let map = atomics.shard_map();
+        self.atomic_dates.for_each_quiesced(rt, |&(date, raw), ()| {
+            let inserted = atomics.by_date[map.shard(raw)].insert(date, raw);
+            inserted.expect("STM refuses dates outside the domain");
+        });
+        ws.atomics = atomics;
         ws.documents = DocGroup {
             store: vars_to_store(rt, &self.documents),
             by_title: self.doc_titles.quiesced(rt, shards),
@@ -816,6 +852,7 @@ impl<RT: StmRuntime + RtName> Sb7Tx for StmTx<'_, '_, RT> {
     }
 
     fn set_atomic_build_date(&mut self, id: AtomicPartId, date: i32) -> TxR<()> {
+        check_date(&self.ws.params.date_domain(), date)?;
         let old = self.slot_mut(&self.ws.atomics, id.raw(), |p| {
             let old = p.build_date;
             p.build_date = date;
@@ -853,11 +890,12 @@ impl<RT: StmRuntime + RtName> Sb7Tx for StmTx<'_, '_, RT> {
             .collect())
     }
 
-    fn all_atomic_ids(&mut self) -> TxR<Vec<AtomicPartId>> {
-        Ok(stm(self.ws.atomic_ids.keys(self.tx))?
-            .into_iter()
-            .map(AtomicPartId)
-            .collect())
+    fn for_each_atomic(&mut self, mut f: impl FnMut(&AtomicPart)) -> TxR<usize> {
+        let ids = stm(self.ws.atomic_ids.keys(self.tx))?;
+        for &raw in &ids {
+            self.atomic(AtomicPartId(raw), &mut f)?;
+        }
+        Ok(ids.len())
     }
 
     fn all_base_ids(&mut self) -> TxR<Vec<BaseAssemblyId>> {
@@ -883,6 +921,7 @@ impl<RT: StmRuntime + RtName> Sb7Tx for StmTx<'_, '_, RT> {
         let id = AtomicPartId(raw);
         let part = make(id);
         let date = part.build_date;
+        check_date(&self.ws.params.date_domain(), date)?;
         self.slot_insert(&self.ws.atomics, raw, part)?;
         stm(self.ws.atomic_ids.insert(self.tx, raw, ()))?;
         stm(self.ws.atomic_dates.insert(self.tx, (date, raw), ()))?;

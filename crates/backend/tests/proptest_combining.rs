@@ -20,7 +20,9 @@ use stmbench7_data::{AccessSpec, AtomicPartId, Mode, Sb7Tx, StructureParams, TxR
 struct CollectIds;
 impl TxOperation<Vec<AtomicPartId>> for CollectIds {
     fn run<T: Sb7Tx>(&mut self, tx: &mut T) -> TxR<Vec<AtomicPartId>> {
-        tx.all_atomic_ids()
+        let mut ids = Vec::new();
+        tx.for_each_atomic(|p| ids.push(p.id))?;
+        Ok(ids)
     }
 }
 

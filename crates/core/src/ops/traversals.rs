@@ -254,13 +254,10 @@ pub fn q6<T: Sb7Tx>(tx: &mut T) -> TxR<OpOutcome> {
 
 /// Q7: iterate over all atomic parts via the id index.
 pub fn q7<T: Sb7Tx>(tx: &mut T) -> TxR<OpOutcome> {
-    let ids = tx.all_atomic_ids()?;
     let mut checksum = 0i64;
-    for id in &ids {
-        checksum += tx.atomic(*id, |p| i64::from(p.x) + i64::from(p.y))?;
-    }
+    let visited = tx.for_each_atomic(|p| checksum += i64::from(p.x) + i64::from(p.y))?;
     std::hint::black_box(checksum);
-    Ok(OpOutcome::Done(ids.len() as i64))
+    Ok(OpOutcome::Done(visited as i64))
 }
 
 #[cfg(test)]

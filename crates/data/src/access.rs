@@ -158,7 +158,9 @@ pub trait Sb7Tx {
     fn document_mut<R>(&mut self, id: DocumentId, f: impl FnOnce(&mut Document) -> R) -> TxR<R>;
 
     /// Updates an atomic part's build date *and* the build-date index
-    /// (T3a/T3b/T3c, OP15).
+    /// (T3a/T3b/T3c, OP15). A date outside
+    /// [`crate::StructureParams::date_domain`] is refused with
+    /// [`crate::dates::DATE_OUT_OF_DOMAIN`] before anything changes.
     fn set_atomic_build_date(&mut self, id: AtomicPartId, date: i32) -> TxR<()>;
 
     // ----- index lookups (Table 1) ------------------------------------------
@@ -182,8 +184,12 @@ pub trait Sb7Tx {
     /// `[lo, hi]` (OP2, OP3, OP10).
     fn atomics_in_date_range(&mut self, lo: i32, hi: i32) -> TxR<Vec<AtomicPartId>>;
 
-    /// All atomic part ids in index order (Q7).
-    fn all_atomic_ids(&mut self) -> TxR<Vec<AtomicPartId>>;
+    /// Index 1 scan (Q7): calls `f` on every atomic part once and returns
+    /// how many it visited. The visit order is the body's own and carries
+    /// no meaning: the lock-world body walks each held shard's slot store,
+    /// which is index 1, while the STM and fine-grained bodies read their
+    /// id index's keys and then open each part in id order.
+    fn for_each_atomic(&mut self, f: impl FnMut(&AtomicPart)) -> TxR<usize>;
 
     /// All base assembly ids in index order (ST5).
     fn all_base_ids(&mut self) -> TxR<Vec<BaseAssemblyId>>;
@@ -196,7 +202,9 @@ pub trait Sb7Tx {
     fn pool_capacity(&mut self, kind: PoolKind) -> TxR<usize>;
 
     /// Creates an atomic part; `make` receives the allocated id. Returns
-    /// `None` when the pool is exhausted.
+    /// `None` when the pool is exhausted. A part dated outside
+    /// [`crate::StructureParams::date_domain`] is refused with
+    /// [`crate::dates::DATE_OUT_OF_DOMAIN`] before anything changes.
     fn create_atomic(
         &mut self,
         make: impl FnOnce(AtomicPartId) -> AtomicPart,

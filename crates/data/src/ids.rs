@@ -112,6 +112,16 @@ impl IdPool {
         }
     }
 
+    /// The id the next [`IdPool::alloc`] returns, without allocating it:
+    /// lets a creation check the object it would build before changing
+    /// anything.
+    pub fn peek(&self) -> Option<u32> {
+        match self.free.last() {
+            Some(&id) => Some(id),
+            None => (self.next <= self.max).then_some(self.next),
+        }
+    }
+
     /// Returns an id to the pool. Returns `false` (freeing nothing) when
     /// `id` was never allocated or is already free.
     ///
@@ -205,8 +215,9 @@ mod tests {
 
         proptest! {
             /// Arbitrary alloc/free interleavings keep the pool's model:
-            /// live ids are unique, within bounds, counted exactly, and
-            /// only live ids can be freed.
+            /// live ids are unique, within bounds, counted exactly, only
+            /// live ids can be freed, and `peek` names what `alloc` hands
+            /// out next.
             #[test]
             fn alloc_free_model(
                 capacity in 1u32..40,
@@ -216,6 +227,7 @@ mod tests {
                 let mut live: HashSet<u32> = HashSet::new();
                 for (is_alloc, pick) in ops {
                     if is_alloc {
+                        prop_assert_eq!(pool.peek(), pool.clone().alloc());
                         match pool.alloc() {
                             Some(id) => {
                                 prop_assert!((1..=capacity).contains(&id));

@@ -18,10 +18,16 @@
 //!   connections, atomic parts, documents),
 //! * [`params`] — structure-size presets (`paper_full`, `standard`,
 //!   `small`, `tiny`),
-//! * [`btree`] — the B+tree used for every index,
+//! * [`btree`] — the B+tree behind indexes 3–6 (and STM's monolithic
+//!   indexes),
 //! * [`sharded`] — [`sharded::ShardedIndex`], N per-shard B+trees behind
-//!   one map API with order-preserving merged enumeration; the unit of
-//!   per-shard locking in the backends (`--shards`),
+//!   one map API with order-preserving merged enumeration, and the
+//!   id routing ([`sharded::ShardMap`]) every per-shard layer shares:
+//!   the unit of per-shard locking in the backends (`--shards`),
+//! * [`dates`] — [`dates::DateIndex`], index 2 as one sorted bucket of
+//!   part ids per build date of a fixed domain; index 1 needs no
+//!   structure of its own, as the atomic parts' dense slot store
+//!   ([`workspace::Store`]) already is one,
 //! * [`text`] — document/manual text generation and the search/replace
 //!   operations the paper specifies,
 //! * [`access`] — the `Sb7Tx` trait, transaction error types and the
@@ -37,6 +43,7 @@
 pub mod access;
 pub mod btree;
 pub mod builder;
+pub mod dates;
 pub mod ids;
 pub mod objects;
 pub mod params;
@@ -48,6 +55,7 @@ pub mod workspace;
 
 pub use access::{OpOutcome, PoolKind, Sb7Tx, TxErr, TxR};
 pub use builder::{build, BuildStats};
+pub use dates::DateIndex;
 pub use ids::{
     AtomicPartId, BaseAssemblyId, ComplexAssemblyId, CompositePartId, DocumentId, IdPool,
 };

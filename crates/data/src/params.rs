@@ -13,6 +13,8 @@
 //! preset stands in for the paper's sizing without changing what an
 //! operation touches relative to the whole.
 
+use std::ops::RangeInclusive;
+
 /// All tunables that determine the initial structure and its growth bounds.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct StructureParams {
@@ -197,6 +199,15 @@ impl StructureParams {
     /// Pool bound for complex assemblies.
     pub fn max_complexes(&self) -> u32 {
         self.with_growth(self.initial_complexes())
+    }
+
+    /// Every build date an atomic part can carry: the builder draws from
+    /// `[min_date, max_date]`, and [`crate::AtomicPart::next_build_date`]
+    /// moves a date one step, down from an even date and up from an odd
+    /// one, so a date leaves the drawn range by at most one. The domain of
+    /// index 2 ([`crate::DateIndex`]).
+    pub fn date_domain(&self) -> RangeInclusive<i32> {
+        self.min_date.saturating_sub(1)..=self.max_date.saturating_add(1)
     }
 
     /// Validates internal consistency (levels ≥ 2, fan-out ≥ 1, non-empty

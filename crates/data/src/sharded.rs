@@ -1,25 +1,30 @@
-//! The sharded-index subsystem: N per-shard B+trees behind one map API.
+//! The sharded-index subsystem: one id routing for every per-shard
+//! layer, and N per-shard B+trees behind one map API.
 //!
 //! The paper's §5 diagnosis is that the six Table 1 indexes are the
 //! contention hot spot: under coarse representations every index update
-//! conflicts with every other. [`ShardedIndex`] is the structural remedy,
-//! applied *below* the synchronization layer: keys are routed by
-//! [`ShardKey`] onto one of N independent [`BTree`]s, so backends can wrap
-//! each shard in its own lock (medium/fine strategies) or its own
-//! transactional variable (the STM backends), and two operations touching
-//! different shards never contend.
+//! conflicts with every other. Sharding is the structural remedy, applied
+//! *below* the synchronization layer: keys are routed by [`ShardKey`] onto
+//! one of N independent shards, so backends can wrap each shard in its
+//! own lock (medium/fine strategies) or its own transactional variable
+//! (the STM backends), and two operations touching different shards never
+//! contend. Indexes 3–6 are [`ShardedIndex`]es of [`BTree`]s. The
+//! atomic-part indexes take the shape of their keys instead (see
+//! [`crate::workspace::AtomicGroup`]): index 1 is the dense slot store,
+//! and index 2 one [`crate::DateIndex`] per shard.
 //!
 //! Sharding is invisible to results: `for_each` and `for_range` merge the
 //! (individually sorted) shards back into one globally key-ordered visit,
 //! so a sharded index enumerates *exactly* the sequence the monolithic
-//! tree would — the property the cross-backend oracle tests rely on.
+//! tree would, and [`merge_date_entries`] does the same for index 2 —
+//! the property the cross-backend oracle tests rely on.
 //!
 //! Routing conventions (fixed so every layer agrees shard-for-shard):
 //!
 //! * `u32` raw ids route by `id % shards`, computed by [`ShardMap`];
-//! * `(date, id)` build-date keys route by **id**, not date, so a part's
-//!   date entry lives in the same shard as the part itself and a date
-//!   update (OP15) touches exactly one shard;
+//! * `(date, id)` build-date entries route by **id**, not date, so a
+//!   part's date entry lives in the same shard as the part itself and a
+//!   date update (OP15) touches exactly one shard;
 //! * `String` titles route by a stable FNV-1a hash.
 
 use crate::btree::BTree;
@@ -241,6 +246,13 @@ impl<K: Ord + Clone + ShardKey, V: Clone> ShardedIndex<K, V> {
         for (k, v) in self.merged(BTree::entries) {
             f(k, v);
         }
+    }
+
+    /// Every entry, cloned, in global key order.
+    pub fn entries(&self) -> Vec<(K, V)> {
+        let mut out = Vec::with_capacity(self.len);
+        self.for_each(|k, v| out.push((k.clone(), v.clone())));
+        out
     }
 
     /// Globally key-ordered visit of entries with keys in `[lo, hi]`.

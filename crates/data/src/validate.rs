@@ -11,7 +11,6 @@ use std::collections::HashSet;
 use std::fmt::Debug;
 
 use crate::objects::AssemblyChildren;
-use crate::sharded::{ShardKey, ShardedIndex};
 use crate::workspace::Workspace;
 
 /// Object counts of a validated structure.
@@ -170,6 +169,52 @@ pub fn validate(ws: &Workspace) -> Result<Census, String> {
         }
     }
 
+    // --- Atomic-part indexes -------------------------------------------------
+    // Index 1 is the store itself. Index 2's buckets must hold exactly one
+    // entry per stored part, under its date, in the shard its id routes
+    // to: entries are distinct (sorted, duplicate-free buckets; one date
+    // and one shard per id), each names a stored part carrying the
+    // bucket's date, and they are as many as the parts.
+    let domain = params.date_domain();
+    for (raw, part) in ws.atomics.store.iter() {
+        ensure!(
+            domain.contains(&part.build_date),
+            "atomic part {raw} dated {} lies outside the date index's domain {domain:?}",
+            part.build_date
+        );
+    }
+    let map = ws.atomics.shard_map();
+    let mut dated = 0;
+    for (s, shard) in ws.atomics.by_date.iter().enumerate() {
+        for (date, ids) in shard.buckets() {
+            ensure!(
+                ids.windows(2).all(|w| w[0] < w[1]),
+                "date index bucket {date} of shard {s} is not sorted and duplicate-free"
+            );
+            for &id in ids {
+                ensure!(
+                    map.shard(id) == s,
+                    "date index entry ({date}, {id}) sits in shard {s}, not its own {}",
+                    map.shard(id)
+                );
+                let part = ws.atomics.store.get(id).ok_or_else(|| {
+                    format!("date index entry ({date}, {id}) names no atomic part")
+                })?;
+                ensure!(
+                    part.build_date == date,
+                    "atomic part {id} dated {} is missing from date index (its entry sits under {date})",
+                    part.build_date
+                );
+            }
+            dated += ids.len();
+        }
+    }
+    ensure!(
+        dated == ws.atomics.store.live(),
+        "date index holds {dated} entries for {} atomic parts",
+        ws.atomics.store.live()
+    );
+
     // --- Composite parts, documents, atomic graphs -------------------------
     let mut comp_index_count = 0;
     ws.composites.by_id.for_each(|_, _| comp_index_count += 1);
@@ -241,14 +286,6 @@ pub fn validate(ws: &Workspace) -> Result<Census, String> {
                 .get(pid.raw())
                 .ok_or_else(|| format!("atomic part {pid} missing"))?;
             ensure!(part.owner == comp.id, "atomic part {pid} owner mismatch");
-            ensure!(
-                ws.atomics.by_id.contains(&pid.raw()),
-                "atomic part {pid} missing from id index"
-            );
-            ensure!(
-                ws.atomics.by_date.contains(&(part.build_date, pid.raw())),
-                "atomic part {pid} missing from date index"
-            );
         }
         atomic_total += n;
         // The graph must be reachable from the root part, local index 0
@@ -272,14 +309,6 @@ pub fn validate(ws: &Workspace) -> Result<Census, String> {
         atomic_total == ws.atomics.store.live(),
         "atomic parts in graphs {atomic_total} != store {}",
         ws.atomics.store.live()
-    );
-    ensure!(
-        ws.atomics.by_id.len() == ws.atomics.store.live(),
-        "atomic id index size mismatch"
-    );
-    ensure!(
-        ws.atomics.by_date.len() == ws.atomics.store.live(),
-        "atomic date index size mismatch"
     );
     ensure!(
         ws.documents.store.live() == ws.composites.store.live(),
@@ -342,11 +371,6 @@ pub fn structural_diff(a: &Workspace, b: &Workspace) -> Result<(), String> {
         );
         Ok(())
     }
-    fn entries<K: Ord + Clone + ShardKey, V: Clone>(index: &ShardedIndex<K, V>) -> Vec<(K, V)> {
-        let mut out = Vec::with_capacity(index.len());
-        index.for_each(|k, v| out.push((k.clone(), v.clone())));
-        out
-    }
     same("module", a, b, |w| [&w.module])?;
     same("manual", a, b, |w| [&w.manual])?;
     same("id pools", a, b, |w| [&w.sm.pools])?;
@@ -359,12 +383,14 @@ pub fn structural_diff(a: &Workspace, b: &Workspace) -> Result<(), String> {
         let what = format!("complex assemblies of level {level}");
         same(&what, a, b, |w| w.complex_level(level).store.iter())?;
     }
-    same("index 1", a, b, |w| entries(&w.atomics.by_id))?;
-    same("index 2", a, b, |w| entries(&w.atomics.by_date))?;
-    same("index 3", a, b, |w| entries(&w.composites.by_id))?;
-    same("index 4", a, b, |w| entries(&w.documents.by_title))?;
-    same("index 5", a, b, |w| entries(&w.bases.by_id))?;
-    same("index 6", a, b, |w| entries(&w.sm.complex_index))
+    same("index 1", a, b, |w| {
+        w.atomics.store.iter().map(|(raw, _)| raw)
+    })?;
+    same("index 2", a, b, |w| w.atomics.date_entries())?;
+    same("index 3", a, b, |w| w.composites.by_id.entries())?;
+    same("index 4", a, b, |w| w.documents.by_title.entries())?;
+    same("index 5", a, b, |w| w.bases.by_id.entries())?;
+    same("index 6", a, b, |w| w.sm.complex_index.entries())
 }
 
 #[cfg(test)]

@@ -13,6 +13,7 @@
 //! runs the same accessor bodies.
 
 use crate::access::{PoolKind, Sb7Tx, TxErr, TxR};
+use crate::dates::DateIndex;
 use crate::ids::{
     AtomicPartId, BaseAssemblyId, ComplexAssemblyId, CompositePartId, DocumentId, IdPool,
 };
@@ -20,7 +21,7 @@ use crate::objects::{
     AtomicPart, BaseAssembly, ComplexAssembly, CompositePart, Document, Manual, Module,
 };
 use crate::params::StructureParams;
-use crate::sharded::ShardedIndex;
+use crate::sharded::{ShardMap, ShardedIndex};
 use crate::text;
 
 /// A dense slot store keyed directly by raw object id.
@@ -166,49 +167,90 @@ impl CompositeGroup {
     }
 }
 
-/// The atomic-part group: store plus indexes 1 (id) and 2 (build date).
+/// The atomic-part group: indexes 1 and 2 of Table 1, each shaped like
+/// its keys. Index 1 maps dense raw ids to parts, which is what the slot
+/// store already is: a part is indexed exactly when its slot is occupied.
+/// Index 2 is one [`DateIndex`] per id-routed shard (see
+/// [`crate::sharded`]), so a part's date entry lives in its own shard.
 #[derive(Clone, Debug)]
 pub struct AtomicGroup {
+    /// The parts, and index 1.
     pub store: Store<AtomicPart>,
-    pub by_id: ShardedIndex<u32, ()>,
-    /// Duplicate dates are modeled with composite `(date, id)` keys;
-    /// entries route by the *id* component (see [`crate::sharded`]), so
-    /// a part's date entry lives in its own shard.
-    pub by_date: ShardedIndex<(i32, u32), ()>,
+    /// Index 2: shard `s` holds the entries of the parts whose raw id
+    /// routes to `s` by [`AtomicGroup::shard_map`].
+    pub by_date: Vec<DateIndex>,
+    map: ShardMap,
 }
 
 impl AtomicGroup {
-    /// Creates an empty group with `shards`-way sharded indexes.
-    pub fn new(max_raw: u32, shards: usize) -> Self {
+    /// An empty group sized and sharded by `params`.
+    pub fn new(params: &StructureParams) -> Self {
+        let shards = params.effective_shards();
+        AtomicGroup::from_parts(
+            Store::new(params.max_atomics()),
+            vec![DateIndex::new(params.date_domain()); shards],
+        )
+    }
+
+    /// Reassembles a group from a store and index-2 shards routed as
+    /// [`AtomicGroup::new`] routes them.
+    pub fn from_parts(store: Store<AtomicPart>, by_date: Vec<DateIndex>) -> Self {
+        let map = ShardMap::new(by_date.len());
         AtomicGroup {
-            store: Store::new(max_raw),
-            by_id: ShardedIndex::new(shards),
-            by_date: ShardedIndex::new(shards),
+            store,
+            by_date,
+            map,
         }
+    }
+
+    /// Routes a raw id to its shard of `by_date`.
+    pub fn shard_map(&self) -> ShardMap {
+        self.map
+    }
+
+    /// Every index-2 entry in global `(date, id)` order.
+    pub fn date_entries(&self) -> Vec<(i32, u32)> {
+        let mut entries = Vec::new();
+        self.for_date_range(i32::MIN, i32::MAX, |k| entries.push(k));
+        entries.sort_unstable();
+        entries
+    }
+
+    #[inline]
+    fn dates_of(&mut self, raw: u32) -> &mut DateIndex {
+        &mut self.by_date[self.map.shard(raw)]
     }
 }
 
 /// One atomic-part lock group: the whole [`AtomicGroup`] here, one lock
-/// shard in the medium-grained backend. Store and indexes 1 and 2 stay
-/// coherent under every mutation.
+/// shard in the medium-grained backend. Its store is index 1, and its
+/// [`DateIndex`] (one per shard) index 2; both stay coherent under every
+/// mutation.
 pub trait AtomicSlice {
     /// The part with this raw id.
     fn get(&self, raw: u32) -> Option<&AtomicPart>;
     /// The part with this raw id, mutably (never change its build date here).
     fn get_mut(&mut self, raw: u32) -> Option<&mut AtomicPart>;
-    /// Inserts a freshly created part into the store and both indexes.
+    /// `Ok` when index 2 accepts `date`, else
+    /// [`crate::dates::DATE_OUT_OF_DOMAIN`].
+    fn check_date(&self, date: i32) -> TxR<()>;
+    /// Inserts a freshly created part, whose date [`AtomicSlice::check_date`]
+    /// accepted, into the store and index 2.
     fn create(&mut self, p: AtomicPart);
-    /// Removes a part from the store and both indexes.
+    /// Removes a part from the store and index 2.
     fn delete(&mut self, raw: u32) -> Option<AtomicPart>;
-    /// Changes a part's build date, keeping index 2 coherent.
-    fn set_date(&mut self, raw: u32, date: i32) -> bool;
-    /// Whether index 1 holds this raw id.
-    fn contains(&self, raw: u32) -> bool;
+    /// Changes a part's build date, keeping index 2 coherent; a date
+    /// outside the domain is refused before anything changes.
+    fn set_date(&mut self, raw: u32, date: i32) -> TxR<()>;
+    /// Whether index 1 holds this raw id: whether its slot is occupied.
+    fn contains(&self, raw: u32) -> bool {
+        self.get(raw).is_some()
+    }
     /// Visits this slice's index-2 entries with dates in `[lo, hi]`;
     /// [`crate::sharded::merge_date_entries`] restores the global order.
     fn for_date_range(&self, lo: i32, hi: i32, f: impl FnMut((i32, u32)));
-    /// Visits this slice's index-1 entries.
-    fn for_each_id(&self, f: impl FnMut(u32));
+    /// Visits every part of this slice.
+    fn for_each_part(&self, f: impl FnMut(&AtomicPart));
 }
 
 impl AtomicSlice for AtomicGroup {
@@ -222,45 +264,39 @@ impl AtomicSlice for AtomicGroup {
         self.store.get_mut(raw)
     }
 
+    #[inline]
+    fn check_date(&self, date: i32) -> TxR<()> {
+        self.by_date[0].check(date)
+    }
+
     fn create(&mut self, p: AtomicPart) {
-        self.by_id.insert(p.id.raw(), ());
-        self.by_date.insert((p.build_date, p.id.raw()), ());
-        self.store.insert(p.id.raw(), p);
+        let raw = p.id.raw();
+        let fresh = self.dates_of(raw).insert(p.build_date, raw);
+        assert_eq!(fresh, Ok(true), "date entry of new part {raw}");
+        self.store.insert(raw, p);
     }
 
     fn delete(&mut self, raw: u32) -> Option<AtomicPart> {
         let p = self.store.remove(raw)?;
-        self.by_id.remove(&raw);
-        self.by_date.remove(&(p.build_date, raw));
+        self.dates_of(raw).remove(p.build_date, raw);
         Some(p)
     }
 
-    fn set_date(&mut self, raw: u32, date: i32) -> bool {
-        let Some(p) = self.store.get_mut(raw) else {
-            return false;
-        };
-        let old = p.build_date;
-        p.build_date = date;
-        self.by_date.remove(&(old, raw));
-        self.by_date.insert((date, raw), ());
-        true
-    }
-
-    #[inline]
-    fn contains(&self, raw: u32) -> bool {
-        self.by_id.contains(&raw)
+    fn set_date(&mut self, raw: u32, date: i32) -> TxR<()> {
+        self.check_date(date)?;
+        let p = self.store.get_mut(raw).ok_or(MISSING)?;
+        let old = std::mem::replace(&mut p.build_date, date);
+        self.dates_of(raw).move_entry(raw, old, date)
     }
 
     fn for_date_range(&self, lo: i32, hi: i32, mut f: impl FnMut((i32, u32))) {
-        for shard in self.by_date.shards() {
-            shard.for_range(&(lo, 0), &(hi, u32::MAX), |k, _| f(*k));
+        for shard in &self.by_date {
+            shard.for_range(lo, hi, |date, raw| f((date, raw)));
         }
     }
 
-    fn for_each_id(&self, mut f: impl FnMut(u32)) {
-        for shard in self.by_id.shards() {
-            shard.for_each(|raw, _| f(*raw));
-        }
+    fn for_each_part(&self, mut f: impl FnMut(&AtomicPart)) {
+        self.store.iter().for_each(|(_, p)| f(p));
     }
 }
 
@@ -395,7 +431,7 @@ impl Workspace {
                 })
                 .collect(),
             composites: CompositeGroup::new(params.max_comps(), shards),
-            atomics: AtomicGroup::new(params.max_atomics(), shards),
+            atomics: AtomicGroup::new(&params),
             documents: DocGroup::new(params.max_comps(), shards),
             params,
         }
@@ -692,8 +728,7 @@ impl<G: LockGroups> Sb7Tx for G {
 
     fn set_atomic_build_date(&mut self, id: AtomicPartId, date: i32) -> TxR<()> {
         let raw = id.raw();
-        let found = self.atomic_group_mut(raw)?.set_date(raw, date);
-        found.then_some(()).ok_or(MISSING)
+        self.atomic_group_mut(raw)?.set_date(raw, date)
     }
 
     fn lookup_atomic(&mut self, raw: u32) -> TxR<Option<AtomicPartId>> {
@@ -732,13 +767,15 @@ impl<G: LockGroups> Sb7Tx for G {
         Ok(crate::sharded::merge_date_entries(entries))
     }
 
-    fn all_atomic_ids(&mut self) -> TxR<Vec<AtomicPartId>> {
-        let mut out = Vec::new();
+    fn for_each_atomic(&mut self, mut f: impl FnMut(&AtomicPart)) -> TxR<usize> {
+        let mut visited = 0;
         for group in self.atomic_groups() {
-            group?.for_each_id(|raw| out.push(AtomicPartId(raw)));
+            group?.for_each_part(|p| {
+                f(p);
+                visited += 1;
+            });
         }
-        out.sort_unstable();
-        Ok(out)
+        Ok(visited)
     }
 
     fn all_base_ids(&mut self) -> TxR<Vec<BaseAssemblyId>> {
@@ -759,12 +796,17 @@ impl<G: LockGroups> Sb7Tx for G {
         &mut self,
         make: impl FnOnce(AtomicPartId) -> AtomicPart,
     ) -> TxR<Option<AtomicPartId>> {
-        let Some(raw) = self.sm_mut()?.pools.atomic.alloc() else {
+        // Build and check the part before allocating its id, so that a
+        // refused date changes nothing.
+        let Some(raw) = self.sm()?.pools.atomic.peek() else {
             return Ok(None);
         };
         let id = AtomicPartId(raw);
         let part = make(id);
         debug_assert_eq!(part.id, id);
+        self.atomic_group(raw)?.check_date(part.build_date)?;
+        let allocated = self.sm_mut()?.pools.atomic.alloc();
+        debug_assert_eq!(allocated, Some(raw));
         self.atomic_group_mut(raw)?.create(part);
         Ok(Some(id))
     }
@@ -893,7 +935,7 @@ mod tests {
     #[test]
     fn atomic_group_indexes_follow_dates() {
         // Four-way sharded: the routing must be invisible to the group API.
-        let mut g = AtomicGroup::new(100, 4);
+        let mut g = AtomicGroup::new(&StructureParams::tiny().with_shards(4));
         let in_date_range = |g: &AtomicGroup, lo, hi| {
             let mut entries = Vec::new();
             g.for_date_range(lo, hi, |k| entries.push(k));
@@ -909,14 +951,45 @@ mod tests {
                 owner: CompositePartId(1),
             });
         }
+        assert!(g.contains(3));
         assert_eq!(in_date_range(&g, 1990, 1990).len(), 3); // ids 3, 6, 9
-        assert!(g.set_date(3, 1995));
+        assert_eq!(g.set_date(3, 1995), Ok(()));
         assert_eq!(in_date_range(&g, 1990, 1990).len(), 2);
         assert_eq!(in_date_range(&g, 1995, 1995), vec![AtomicPartId(3)]);
+        // The domain of tiny is [999, 2000]: a date past it is refused
+        // and changes nothing.
+        let before = g.date_entries();
+        assert_eq!(g.set_date(3, 2001), Err(crate::dates::DATE_OUT_OF_DOMAIN));
+        assert_eq!(g.get(3).map(|p| p.build_date), Some(1995));
+        assert_eq!(g.date_entries(), before);
+        assert_eq!(g.set_date(11, 1995), Err(MISSING));
         let p = g.delete(3).unwrap();
         assert_eq!(p.build_date, 1995);
         assert_eq!(in_date_range(&g, 1995, 1995).len(), 0);
         assert!(!g.contains(3));
+        assert_eq!(g.date_entries().len(), 9);
+    }
+
+    #[test]
+    fn out_of_domain_dates_are_refused_before_anything_changes() {
+        let mut ws = Workspace::build(StructureParams::tiny(), 4);
+        let before = ws.clone();
+        let domain = ws.params.date_domain();
+        let mut tx = DirectTx::writing(&mut ws);
+        for date in [*domain.start() - 1, *domain.end() + 1] {
+            let created = tx.create_atomic(|id| AtomicPart {
+                id,
+                kind: 0,
+                build_date: date,
+                x: 0,
+                y: 0,
+                owner: CompositePartId(1),
+            });
+            assert_eq!(created, Err(crate::dates::DATE_OUT_OF_DOMAIN), "{date}");
+            let moved = tx.set_atomic_build_date(AtomicPartId(1), date);
+            assert_eq!(moved, Err(crate::dates::DATE_OUT_OF_DOMAIN), "{date}");
+        }
+        crate::validate::structural_diff(&ws, &before).unwrap();
     }
 
     #[test]

@@ -9,7 +9,7 @@ use std::time::Duration;
 use super::{Failure, Opts};
 use crate::backend::{AnyBackend, Backend};
 use crate::core::{run_benchmark, BenchConfig, OpFilter, RunMode, WorkloadMix};
-use crate::data::{validate, StructureParams, Workspace};
+use crate::data::{validate, DateIndex, StructureParams, Workspace};
 use crate::lab::{check_slos, compare_documents, registry, run_spec, Tolerance};
 use crate::net::DriveConfig;
 use crate::obs::{
@@ -128,7 +128,7 @@ fn describe(params: &StructureParams, ws: &Workspace) {
     println!("  1. atomic part id         -> atomic part");
     println!(
         "  2. atomic part build date -> atomic part   ({} entries)",
-        ws.atomics.by_date.len()
+        ws.atomics.by_date.iter().map(DateIndex::len).sum::<usize>()
     );
     println!("  3. composite part id      -> composite part");
     println!(

@@ -79,6 +79,13 @@ fn backends_agree_write_dominated() {
     check_equivalence(WorkloadType::WriteDominated, 400, 33, 1);
 }
 
+/// The r mix is the one that scans most: Q7 visits every held shard's
+/// parts, and OP2/OP3 merge per-shard date buckets, only when sharded.
+#[test]
+fn backends_agree_read_dominated_sharded_8() {
+    check_equivalence(WorkloadType::ReadDominated, 400, 11, 8);
+}
+
 #[test]
 fn backends_agree_read_write_sharded_8() {
     check_equivalence(WorkloadType::ReadWrite, 400, 22, 8);

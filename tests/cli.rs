@@ -38,6 +38,10 @@ fn describe_prints_census_and_indexes() {
     ] {
         assert!(stdout.contains(needle), "missing index line: {needle}");
     }
+    assert!(
+        stdout.contains("atomic part build date -> atomic part   (120 entries)"),
+        "index 2 counts its entries, one per part"
+    );
 }
 
 #[test]

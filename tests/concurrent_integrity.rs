@@ -249,8 +249,9 @@ fn paper_full_builds_and_validates() {
     assert_eq!(census.atomic_parts, params.initial_atomics());
     assert_eq!(census.base_assemblies, params.initial_bases());
     assert_eq!(census.composite_parts, params.library_size);
-    assert_eq!(ws.atomics.by_id.shard_count(), 16);
-    assert_eq!(ws.atomics.by_date.len(), census.atomic_parts);
+    assert_eq!(ws.atomics.by_date.len(), 16);
+    assert_eq!(ws.atomics.shard_map().count(), 16);
+    assert_eq!(ws.atomics.date_entries().len(), census.atomic_parts);
 }
 
 /// Long soak over every backend — minutes, not milliseconds — for

@@ -139,6 +139,74 @@ fn detects_date_index_drift() {
     assert_rejects(&ws, "missing from date index");
 }
 
+/// A workspace whose index 2 is split 8 ways, and its first part that
+/// does not route to shard 0, with that part's date.
+fn sharded() -> (Workspace, u32, i32) {
+    let ws = Workspace::build(StructureParams::tiny().with_shards(8), 17);
+    let map = ws.atomics.shard_map();
+    let (raw, part) = ws
+        .atomics
+        .store
+        .iter()
+        .find(|(raw, _)| map.shard(*raw) != 0)
+        .expect("parts route past shard 0");
+    let date = part.build_date;
+    (ws, raw, date)
+}
+
+#[test]
+fn detects_date_edited_without_moving_its_entry() {
+    let (mut ws, raw, date) = sharded();
+    // Another date inside the domain: only the entry's place is wrong.
+    let moved = if date > 1500 { date - 300 } else { date + 300 };
+    ws.atomics.store.get_mut(raw).unwrap().build_date = moved;
+    assert_rejects(&ws, "missing from date index");
+}
+
+#[test]
+fn detects_duplicated_id_in_a_date_bucket() {
+    let (mut ws, raw, date) = sharded();
+    let shard = ws.atomics.shard_map().shard(raw);
+    let bucket = ws.atomics.by_date[shard].bucket_mut(date).unwrap();
+    let at = bucket.binary_search(&raw).unwrap();
+    bucket.insert(at, raw);
+    assert_rejects(&ws, "not sorted and duplicate-free");
+}
+
+#[test]
+fn detects_date_entry_whose_part_was_removed() {
+    let (mut ws, raw, _) = sharded();
+    // The store is index 1: removing the part un-indexes it, but its
+    // date entry stays behind.
+    ws.atomics.store.remove(raw).unwrap();
+    assert_rejects(&ws, "names no atomic part");
+}
+
+#[test]
+fn detects_date_outside_the_domain() {
+    let (mut ws, raw, _) = sharded();
+    let past = *ws.params.date_domain().end() + 1;
+    ws.atomics.store.get_mut(raw).unwrap().build_date = past;
+    assert_rejects(&ws, "outside the date index's domain");
+}
+
+#[test]
+fn detects_date_entry_in_the_wrong_shard() {
+    let (mut ws, raw, date) = sharded();
+    let shard = ws.atomics.shard_map().shard(raw);
+    assert!(ws.atomics.by_date[shard].remove(date, raw));
+    assert_eq!(ws.atomics.by_date[0].insert(date, raw), Ok(true));
+    assert_rejects(&ws, "not its own");
+}
+
+#[test]
+fn detects_part_without_a_date_entry() {
+    let (mut ws, raw, date) = sharded();
+    let shard = ws.atomics.shard_map().shard(raw);
+    assert!(ws.atomics.by_date[shard].remove(date, raw));
+    assert_rejects(&ws, "date index holds");
+}
+
 #[test]
 fn detects_title_index_drift() {
     let mut ws = fresh();
